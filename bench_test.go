@@ -419,29 +419,3 @@ func BenchmarkFig3_Sharded(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkFig3_DiskSharded measures the intra-cell disk cut on the
-// classic single-tenant Fig3 run — the configuration PR 7's per-tenant
-// partitioning could not touch. disk-shards=0 is the untouched classic
-// path; disk-shards=K cuts the 10-disk farm across K extra kernels,
-// with the home kernel keeping the CPU, buffer pool, and every query
-// frame. All variants simulate identically (bit-for-bit, pinned by
-// TestDiskShardedConformance), so their ratio is pure execution cost:
-// on multi-core hardware the disk kernels advance in parallel with the
-// home kernel inside each lookahead window; under GOMAXPROCS=1 the
-// variants serialize and the gap is the messaging + windowing overhead.
-func BenchmarkFig3_DiskSharded(b *testing.B) {
-	for _, ds := range []int{0, 2, 4} {
-		b.Run(fmt.Sprintf("disk-shards=%d", ds), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := baselineAt(pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 0.06, int64(i+1))
-				cfg.DiskShards = ds
-				r := runBench(b, cfg)
-				if i == 0 {
-					missMetric(b, "baseline", r)
-					b.ReportMetric(float64(r.Terminated), "terminated")
-				}
-			}
-		})
-	}
-}

@@ -59,7 +59,6 @@ func main() {
 		maxReps = flag.Int("max-reps", 32, "replicate cap per point under -precision")
 		tenants = flag.Int("tenants", 0, "add the multi-tenant partitioned report with this many broker-coupled baseline cells (report id: tenants)")
 		shards  = flag.Int("shards", 0, "worker threads for partitioned runs (results identical for any value)")
-		dshards = flag.Int("disk-shards", 0, "cut each run's disk farm across this many extra kernels (0/1 = classic; results identical for any value)")
 		clients = flag.Int("clients", 0, "client population of the open-system overload report (0 = 100000; count-batched — report id: overload)")
 		trOut   = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of a short baseline PMM run at -seed to this file")
 		prog    = flag.Bool("progress", false, "stream live per-point sweep progress with an ETA to stderr")
@@ -97,7 +96,7 @@ func main() {
 		Seed: *seed, Quick: *quick, Horizon: *horizon,
 		Reps: *reps, Workers: *workers,
 		Precision: *prec, MaxReps: *maxReps,
-		Tenants: *tenants, Shards: *shards, DiskShards: *dshards, Clients: *clients,
+		Tenants: *tenants, Shards: *shards, Clients: *clients,
 	}
 	if *prog {
 		opts.Progress = pmm.NewSweepProgress(os.Stderr)

@@ -44,6 +44,26 @@ import (
 	"pmm/internal/prof"
 )
 
+// checkFlags rejects numeric flag values that would otherwise silently
+// fall back to a default: a non-positive -hours would become the
+// Config's 10 h default, and a negative -rate, -memory or -disks the
+// preset's value. A negative -mpl is no MPL limit at all.
+func checkFlags(hours, rate float64, memory, disks, mpl int) error {
+	switch {
+	case !(hours > 0):
+		return fmt.Errorf("-hours must be positive, got %g", hours)
+	case rate < 0:
+		return fmt.Errorf("-rate must not be negative, got %g", rate)
+	case memory < 0:
+		return fmt.Errorf("-memory must not be negative, got %d", memory)
+	case disks < 0:
+		return fmt.Errorf("-disks must not be negative, got %d", disks)
+	case mpl < 0:
+		return fmt.Errorf("-mpl must not be negative, got %d", mpl)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		preset  = flag.String("preset", "baseline", "workload preset: baseline | contention | sorts | changes | multiclass | overload")
@@ -67,7 +87,6 @@ func main() {
 		maxReps = flag.Int("max-reps", 32, "replicate cap per point under -precision")
 		tenants = flag.Int("tenants", 0, "replicate the preset into this many broker-coupled cells (0/1 = single-tenant)")
 		shards  = flag.Int("shards", 0, "worker threads advancing cells in parallel (multi-tenant only; results identical for any value)")
-		dshards = flag.Int("disk-shards", 0, "cut each cell's disk farm across this many extra kernels (0/1 = classic; results identical for any value)")
 		sync    = flag.Float64("sync", 0, "broker epoch length in simulated seconds (0 = default 1.0; multi-tenant only)")
 		stretch = flag.Int("stretch", 0, "adaptive broker lookahead: widen the barrier up to this many epochs while no cell changes demand class (0/1 = fixed; multi-tenant only)")
 		clients = flag.Int("clients", 0, "simulated client population of the overload preset (0 = 100000; count-batched, any N costs one timer per class)")
@@ -78,6 +97,10 @@ func main() {
 		prog    = flag.Bool("progress", false, "stream live per-replicate progress with an ETA to stderr")
 	)
 	flag.Parse()
+	if err := checkFlags(*hours, *rate, *memory, *disks, *mpl); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	stopProfile, err := prof.StartCPU(*profile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -162,7 +185,6 @@ func main() {
 		cfg.SyncInterval = *sync
 		cfg.SyncStretch = *stretch
 	}
-	cfg.DiskShards = *dshards
 
 	spec := pmm.SweepSpec{Base: cfg, Reps: *reps, Workers: *workers, Confidence: *conf}
 	var progress *pmm.SweepProgress

@@ -70,17 +70,6 @@ func (p Params) MeanAccessTime(seekCylinders, pages int) float64 {
 	return p.SeekTime(seekCylinders) + p.RotationTime/2 + p.TransferTime(pages)
 }
 
-// MinAccessTime returns a strict lower bound on any request's service
-// time: a one-page transfer continuing a tracked sequential stream pays
-// no seek and no rotational delay, only the track-rate transfer. This
-// is the conservative lookahead of the disk cut — a request issued at t
-// cannot complete before t + MinAccessTime — and every service time the
-// simulator draws is ≥ it (seek and rotational delay are ≥ 0 and pages
-// ≥ 1).
-func (p Params) MinAccessTime() float64 {
-	return p.TransferTime(1)
-}
-
 // Request is one disk access record. The fields are internal; callers of
 // the inline Start access methods own a scratch Request (typically one
 // per executor, since a process has at most one access in flight) that
@@ -94,10 +83,6 @@ type Request struct {
 	// file 0 means a non-sequential (uncached) access.
 	file int64
 	page int
-	// h is the cross-partition handle pairing this request with its
-	// remote twin under the disk cut (see handoff.go); 0 on the classic
-	// single-kernel path.
-	h int64
 }
 
 // stream is one sequential access pattern tracked by a disk's prefetch
@@ -132,18 +117,6 @@ type Disk struct {
 	reqFree []*Request
 	cur     *sim.Waiting
 	compID  int32
-
-	// Disk-cut roles (see handoff.go). proxy is non-nil on a home
-	// partition's disk, which mirrors all deterministic queue state but
-	// delegates service-time draws to its remote twin. report is non-nil
-	// on a remote partition's disk, which announces each dispatch's
-	// completion time back to the home partition and completes it only
-	// on the home's MsgFire; remoteH is that in-flight handle, and
-	// waitFree pools the detached queue records remote requests wait on.
-	proxy    *proxyState
-	report   func(h int64, completion float64)
-	remoteH  int64
-	waitFree []*sim.Waiting
 
 	// The 256 KB prefetch cache tracks a small number of concurrent
 	// sequential streams (most recently used first). More interleaved
@@ -318,9 +291,6 @@ func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, fil
 
 func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
 	d.clamp(req)
-	if d.proxy != nil {
-		return d.startProxy(t, prio, req)
-	}
 	if !d.busy {
 		// Idle disk: serve immediately, exactly as serveDirect does for
 		// the blocking path — disk-side completion scheduled before the
@@ -367,10 +337,6 @@ func (d *Disk) streamHit(req *Request) bool {
 
 // Complete delivers a typed completion event; see sim.Completer.
 func (d *Disk) Complete(direct bool) {
-	if d.proxy != nil {
-		d.proxyComplete(direct)
-		return
-	}
 	if direct {
 		d.completeDirect()
 	} else {
@@ -388,9 +354,7 @@ func (d *Disk) completeDirect() {
 }
 
 // completeQueued finishes a dispatched request: the served process's
-// wake is scheduled before the next request starts. On a remote
-// partition the served record is a detached twin with no process behind
-// it; its record and request go back to their pools here.
+// wake is scheduled before the next request starts.
 func (d *Disk) completeQueued() {
 	w := d.cur
 	d.cur = nil
@@ -398,21 +362,16 @@ func (d *Disk) completeQueued() {
 	d.busy = false
 	d.meter.SetBusy(false)
 	d.gate.EndService(w)
-	if w.Detached() {
-		d.putReq(w.Data.(*Request))
-		d.putWait(w)
-	}
 	d.dispatch()
 }
 
-// shape applies a request's deterministic effects — prefetch-cache
-// consultation, head movement, elevator direction, and the sequential
-// hit counter — and returns what the time computation needs. It draws no
-// randomness, so a home-partition proxy can replay it and stay a
-// bit-identical mirror of the remote disk (see handoff.go).
-func (d *Disk) shape(req *Request) (hit bool, dist int) {
-	hit = d.streamHit(req)
-	dist = req.cylinder - d.head
+// serviceTime computes the service time for a request and moves the
+// head. Requests continuing a tracked sequential stream cost only the
+// transfer (readahead hides seek and rotation); everything else pays
+// seek plus a uniform rotational delay plus transfer.
+func (d *Disk) serviceTime(req *Request) float64 {
+	hit := d.streamHit(req)
+	dist := req.cylinder - d.head
 	if dist < 0 {
 		dist = -dist
 		d.ascending = false
@@ -422,17 +381,6 @@ func (d *Disk) shape(req *Request) (hit bool, dist int) {
 	d.head = req.cylinder
 	if hit {
 		d.seqHits++
-	}
-	return hit, dist
-}
-
-// serviceTime computes the service time for a request and moves the
-// head. Requests continuing a tracked sequential stream cost only the
-// transfer (readahead hides seek and rotation); everything else pays
-// seek plus a uniform rotational delay plus transfer.
-func (d *Disk) serviceTime(req *Request) float64 {
-	hit, dist := d.shape(req)
-	if hit {
 		return d.params.TransferTime(req.pages)
 	}
 	rot := d.rng.Float64() * d.params.RotationTime
@@ -468,14 +416,6 @@ func (d *Disk) dispatch() {
 	d.meter.SetBusy(true)
 	service := d.serviceTime(req)
 	d.cur = best
-	if d.report != nil {
-		// Remote twin: report the completion time instead of scheduling
-		// it — the home mirror fires it back as MsgFire at exactly that
-		// time (see handoff.go).
-		d.remoteH = req.h
-		d.report(req.h, d.k.Now()+service)
-		return
-	}
 	d.k.AtComplete(service, d.compID, false)
 }
 

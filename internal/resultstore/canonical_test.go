@@ -84,21 +84,6 @@ func TestKeyIgnoresConstructionOrder(t *testing.T) {
 	if KeyFor(mt) != KeyFor(mt2) {
 		t.Fatalf("Shards changed a multi-tenant key:\n%s", CanonicalText(mt2))
 	}
-	// DiskShards is the other pure execution knob: a sweep run with the
-	// disk farm cut across kernels must hit a cache warmed by classic
-	// runs, alone or stacked with Shards.
-	dd := testConfig()
-	dd.Classes[0].ArrivalRate = 0.07
-	dd.DiskShards = 2
-	if KeyFor(dd) != ka {
-		t.Fatalf("DiskShards changed the key:\n%s", CanonicalText(dd))
-	}
-	mt5 := mt
-	mt5.Shards = 8
-	mt5.DiskShards = 4
-	if KeyFor(mt) != KeyFor(mt5) {
-		t.Fatalf("DiskShards changed a multi-tenant key:\n%s", CanonicalText(mt5))
-	}
 	// A single-tenant config ignores SyncInterval entirely.
 	st := testConfig()
 	st.Classes[0].ArrivalRate = 0.07
@@ -211,7 +196,7 @@ func TestCanonicalCoversAllConfigFields(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		"rtdbs.Config":        {reflect.TypeOf(rtdbs.Config{}), 18},
+		"rtdbs.Config":        {reflect.TypeOf(rtdbs.Config{}), 17},
 		"rtdbs.PolicyConfig":  {reflect.TypeOf(rtdbs.PolicyConfig{}), 4},
 		"rtdbs.Phase":         {reflect.TypeOf(rtdbs.Phase{}), 2},
 		"disk.Params":         {reflect.TypeOf(disk.Params{}), 7},

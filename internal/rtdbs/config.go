@@ -128,21 +128,10 @@ type Config struct {
 	// concurrently in a multi-tenant run. It is purely an execution
 	// knob: results are bit-for-bit identical for every value, so it is
 	// canonicalized to 0 and excluded from result-store keys. 0 or 1
-	// runs the partitions sequentially. With DiskShards > 1 the same
-	// workers also serve each cell's disk partitions, so useful values
-	// extend to Tenants × (1 + DiskShards).
+	// runs the partitions sequentially; values above Tenants are
+	// clamped. Cells are the only unit of parallelism, so a
+	// single-tenant run ignores Shards and runs on one kernel.
 	Shards int
-	// DiskShards > 1 splits each tenant's disk farm across that many
-	// extra kernels (disk i goes to partition i mod DiskShards, values
-	// above the disk count are clamped), parallelizing even a
-	// single-tenant run along its CPU/disk boundary. Like Shards it is
-	// purely an execution knob: the home partition mirrors every
-	// deterministic disk decision and remote partitions replay the
-	// identical RNG streams, so metrics, event digests, and result-store
-	// keys are bit-for-bit identical for every value. 0 or 1 keeps the
-	// classic single-kernel path; canonicalized to 0 and excluded from
-	// result-store keys.
-	DiskShards int
 }
 
 // withDefaults fills unset fields with the paper's defaults.
@@ -221,9 +210,6 @@ func (c Config) validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("rtdbs: negative shard count %d", c.Shards)
 	}
-	if c.DiskShards < 0 {
-		return fmt.Errorf("rtdbs: negative disk shard count %d", c.DiskShards)
-	}
 	if c.SyncInterval < 0 {
 		return fmt.Errorf("rtdbs: negative sync interval %g", c.SyncInterval)
 	}
@@ -295,12 +281,11 @@ func (c Config) Canonical() Config {
 		cls[i] = cls[i].CanonicalSpec()
 	}
 	c.Classes = cls
-	// Shards and DiskShards are pure execution knobs — every value
-	// produces the same results — so they never participate in content
-	// addressing. A single-tenant run ignores SyncInterval and
-	// SyncStretch entirely, and stretch 1 is the fixed barrier.
+	// Shards is a pure execution knob — every value produces the same
+	// results — so it never participates in content addressing. A
+	// single-tenant run ignores SyncInterval and SyncStretch entirely,
+	// and stretch 1 is the fixed barrier.
 	c.Shards = 0
-	c.DiskShards = 0
 	if c.SyncStretch <= 1 {
 		c.SyncStretch = 0
 	}

@@ -101,26 +101,21 @@ func TestShardedStress(t *testing.T) {
 	}
 }
 
-// shardedGoldenWant pins the model-level digest of one fixed
-// partitioned run. The disk-partitioned golden test asserts the same
-// constant: DiskShards is an execution knob, so the cut run must land
-// on the identical digest.
-const shardedGoldenWant = "ede89f418c37dca437f7189a1ab60d1efa46bef915de110654d9d5bfbb8f480b"
-
 // TestShardedGoldenDigest pins the combined event order of a fixed
 // partitioned run, exactly as golden_test.go pins single-kernel runs:
 // any change to cell construction, seed derivation, broker arithmetic,
 // or barrier scheduling shows up here as a digest change and must be
 // intentional (and bump SimEpoch).
 func TestShardedGoldenDigest(t *testing.T) {
+	const want = "ede89f418c37dca437f7189a1ab60d1efa46bef915de110654d9d5bfbb8f480b"
 	r, err := Simulate(tenantConfig(PolicyConfig{Kind: PolicyMinMax}, 2, 2, 600), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ShardDigest != shardedGoldenWant {
+	if r.ShardDigest != want {
 		t.Fatalf("partitioned golden digest changed:\n got %s\nwant %s\n"+
 			"(terminated=%d missed=%d) — if intentional, update the constant and bump SimEpoch",
-			r.ShardDigest, shardedGoldenWant, r.Terminated, r.Missed)
+			r.ShardDigest, want, r.Terminated, r.Missed)
 	}
 }
 

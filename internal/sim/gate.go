@@ -31,11 +31,6 @@ type Gate struct {
 	// list on every release, and tightens it whenever a full scan does
 	// happen.
 	eligMin float64
-	// onInterrupt, when set, observes every waiter torn out of the
-	// queue by a process interrupt (after the unlink; the record's
-	// payload fields are still intact). Disk proxies use it to mirror
-	// queue abandonment to the remote partition.
-	onInterrupt func(*Waiting)
 }
 
 // Waiting is one process queued at a Gate.
@@ -63,18 +58,8 @@ func NewGate(k *Kernel, name string) *Gate {
 	return &Gate{k: k, name: name}
 }
 
-// Task returns the waiting process, whichever representation backs it,
-// or nil for a detached record (see EnqueueDetached).
-func (w *Waiting) Task() Task {
-	if w.task == nil {
-		return nil
-	}
-	return w.task.self
-}
-
-// Detached reports whether w is a standalone record queued via
-// EnqueueDetached rather than a process's embedded wait.
-func (w *Waiting) Detached() bool { return w.task == nil }
+// Task returns the waiting process, whichever representation backs it.
+func (w *Waiting) Task() Task { return w.task.self }
 
 // Seq returns the arrival sequence number, unique and increasing per gate.
 func (w *Waiting) Seq() uint64 { return w.seq }
@@ -90,17 +75,6 @@ func (g *Gate) Len() int { return g.n }
 
 // First returns the longest-queued waiter, or nil for an empty gate.
 func (g *Gate) First() *Waiting { return g.head }
-
-// Tail returns the most recently queued waiter, or nil for an empty
-// gate. Owners that need a handle to the entry they just enqueued read
-// it here immediately after a successful Enqueue.
-func (g *Gate) Tail() *Waiting { return g.tail }
-
-// SetInterruptHook installs f to observe every waiter an interrupt
-// tears out of this gate's queue (or removes an installed hook when f
-// is nil). The hook runs after the unlink, with the record's payload
-// fields intact, within the interrupting event.
-func (g *Gate) SetInterruptHook(f func(*Waiting)) { g.onInterrupt = f }
 
 // Waiters returns the queued processes in arrival order. The slice is a
 // snapshot; entries released or interrupted after the call become stale
@@ -162,7 +136,7 @@ func (g *Gate) remove(w *Waiting) {
 	if w.removed {
 		return
 	}
-	if s := g.k.sink; s != nil && w.task != nil {
+	if s := g.k.sink; s != nil {
 		s.WaitEnd(g.k.now, g.name, w.task.tid)
 	}
 	if w.prev != nil {
@@ -204,51 +178,6 @@ func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 	if s := g.k.sink; s != nil {
 		s.WaitBegin(g.k.now, g.name, c.tid, prio)
 	}
-}
-
-// interruptRemove is the interrupt path's dequeue: unlink, then let an
-// installed hook observe the torn-out waiter.
-func (g *Gate) interruptRemove(w *Waiting) {
-	g.remove(w)
-	if g.onInterrupt != nil {
-		g.onInterrupt(w)
-	}
-}
-
-// EnqueueDetached links a caller-owned standalone record into the queue
-// with no process behind it. Detached waiters participate in ordering
-// and owner scans exactly like embedded ones (they draw the same gate
-// sequence numbers) but deliver no wakes: BeginService/EndService on
-// them only move the record, and the owner recycles it afterward.
-// Remote disk partitions use detached records to replay the home
-// partition's queue contents with bit-identical scheduling decisions.
-func (g *Gate) EnqueueDetached(w *Waiting, prio float64, data any, val float64) {
-	*w = Waiting{gate: g, seq: g.seq, Prio: prio, Val: val, Data: data}
-	g.seq++
-	if g.tail == nil {
-		g.head = w
-		g.eligMin = prio
-	} else {
-		g.tail.next = w
-		w.prev = g.tail
-		if prio < g.eligMin {
-			g.eligMin = prio
-		}
-	}
-	g.tail = w
-	g.n++
-}
-
-// Cancel removes a queued waiter without waking it, reporting false for
-// stale handles. It is the owner-initiated counterpart of an interrupt
-// removal, used to retract detached records when the home partition
-// abandons the corresponding wait.
-func (g *Gate) Cancel(w *Waiting) bool {
-	if w.removed || w.gate != g || w.inService {
-		return false
-	}
-	g.remove(w)
-	return true
 }
 
 // wait queues the calling process and parks until released.
@@ -313,10 +242,8 @@ func (g *Gate) BeginService(w *Waiting) bool {
 	w.inService = true
 	// The process keeps waiting but can no longer be torn out of the
 	// queue: mark its wait uncancellable so interrupts defer to
-	// EndService. Detached records have no process to mark.
-	if w.task != nil {
-		w.task.cancel = cancelNone
-	}
+	// EndService.
+	w.task.cancel = cancelNone
 	return true
 }
 
@@ -328,7 +255,5 @@ func (g *Gate) EndService(w *Waiting) {
 		panic("sim: EndService without BeginService")
 	}
 	w.inService = false
-	if w.task != nil {
-		w.task.deliverWake(false)
-	}
+	w.task.deliverWake(false)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"pmm/internal/trace"
@@ -76,12 +75,6 @@ const (
 	// disk completions).
 	evComplete
 	evCompleteQ
-	// evMessage delivers a cross-partition Message at its stamped time:
-	// arg indexes the pooled message payload, which names the registered
-	// MessageHandler. The last free value of the 3-bit kind field; its
-	// trace name is the distinct trace.KindMessage (the raw value would
-	// collide with trace.KindCancel).
-	evMessage
 )
 
 // The trace package names kernel event kinds by value; keep the two
@@ -225,44 +218,14 @@ type Kernel struct {
 	// written, on the hot paths.
 	sink trace.Sink
 
-	// Cross-partition message delivery: pooled payloads for evMessage
-	// events and the handler registry they address. Cold for classic
-	// single-kernel runs (never touched).
-	msgs    []msgEntry
-	msgFree int32
-	msgh    []MessageHandler
-
-	// runCap bounds Run in addition to its until argument: events past
-	// min(until, runCap) do not fire and the clock clamps there. +Inf —
-	// the value both constructors set — disables it. Partitioned runs
-	// use it as the conservative-lookahead bound a partition must not
-	// outrun; LowerRunCap may tighten it mid-run from an event handler.
-	runCap float64
-
 	arena   *Arena // frame arena the kernel allocates processes from (may be nil)
 	farDead int    // cancelled entries still inside far
 	procs   int    // live processes, for leak detection in tests
 }
 
-// msgEntry is one pooled in-flight cross-partition message: the payload
-// of an evMessage event plus the handler it targets. next threads the
-// free list.
-type msgEntry struct {
-	m       Message
-	handler int32
-	next    int32
-}
-
-// MessageHandler consumes cross-partition messages delivered through
-// DeliverMessage. Handlers run as ordinary kernel events at the
-// message's stamped time.
-type MessageHandler interface {
-	HandleMessage(m Message)
-}
-
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{freeHead: -1, msgFree: -1, runCap: math.Inf(1)}
+	k := &Kernel{freeHead: -1}
 	for i := range k.bhead {
 		k.bhead[i] = -1
 	}
@@ -283,8 +246,6 @@ func NewKernelIn(a *Arena) *Kernel {
 	}
 	k := SlabFor[Kernel](a).Alloc()
 	k.freeHead = -1
-	k.msgFree = -1
-	k.runCap = math.Inf(1)
 	for i := range k.bhead {
 		k.bhead[i] = -1
 	}
@@ -338,80 +299,6 @@ func (k *Kernel) RegisterCompleter(c Completer) int32 {
 	id := int32(len(k.comps))
 	k.comps = append(k.comps, c)
 	return id
-}
-
-// RegisterMessageHandler registers a cross-partition message consumer
-// and returns the id DeliverMessage addresses it by. Call once at
-// construction.
-func (k *Kernel) RegisterMessageHandler(h MessageHandler) int32 {
-	id := int32(len(k.msgh))
-	k.msgh = append(k.msgh, h)
-	return id
-}
-
-// DeliverMessage schedules m to fire at its stamped absolute time m.At
-// (≥ the current clock; the past panics) on the registered handler.
-// Messages at the current instant join the zero-delay lane and fire in
-// delivery order, after events already pending at that time — so a
-// caller delivering a batch in (At, Seq, Shard)-sorted order preserves
-// that total order through the kernel's own sequence numbering.
-// Deliveries are uncancellable and, after pool warm-up, allocation-free.
-func (k *Kernel) DeliverMessage(handler int32, m Message) {
-	if m.At < k.now {
-		panic(fmt.Sprintf("sim: message at %g delivered into the past (now %g)", m.At, k.now))
-	}
-	mi := k.msgFree
-	if mi >= 0 {
-		k.msgFree = k.msgs[mi].next
-	} else {
-		k.msgs = append(k.msgs, msgEntry{})
-		mi = int32(len(k.msgs) - 1)
-	}
-	e := &k.msgs[mi]
-	e.m = m
-	e.handler = handler
-	id, s, seq := k.newSlot(evMessage, mi)
-	k.placeAt(m.At, id, s, seq)
-}
-
-// placeAt files a stamped slot at absolute time at (≥ now; == now goes
-// to the fast lane). Cold-path counterpart of sched for events whose
-// absolute time is authoritative — cross-partition messages and held
-// completions — where round-tripping the timestamp through a relative
-// delay (at - now, re-added by sched) would perturb its low bits and
-// break bitwise conformance between cut and uncut runs.
-func (k *Kernel) placeAt(at float64, id int32, s *eventSlot, seq uint64) {
-	if at == k.now {
-		// Same-timestamp fast lane; see sched for the loc reset.
-		s.loc = locNone
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: uint8(s.karg & 7)})
-		return
-	}
-	it := heapItem{at: at, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return
-		}
-		if k.timedEmpty() {
-			k.reg[n] = it
-			k.regN = n + 1
-			return
-		}
-	} else if heapLess(it, k.reg[1]) {
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
 }
 
 // Now returns the current simulation time in seconds.
@@ -643,45 +530,6 @@ func (k *Kernel) AtComplete(delay float64, comp int32, direct bool) {
 	k.sched(delay, id, s, seq)
 }
 
-// AtCompleteHeld stamps a completion event — same dispatch as
-// AtComplete — without queueing it: the event's position among
-// equal-time events (its sequence number) is fixed now, but its fire
-// time is not yet known. Place files it once the time is learned. A
-// home-partition disk mirror uses this to keep classic event order
-// while the true completion time is still in flight from the remote
-// twin (see internal/disk).
-func (k *Kernel) AtCompleteHeld(comp int32, direct bool) Timer {
-	kind := evCompleteQ
-	if direct {
-		kind = evComplete
-	}
-	id, s, seq := k.newSlot(kind, comp)
-	// Held: in no queue structure until Place. The recycled slot may
-	// carry a stale bucket index, which Stop must not unlink.
-	s.loc = locNone
-	return Timer{k: k, id: id, seq: seq}
-}
-
-// Place files a held event (AtCompleteHeld) at absolute time at. The
-// caller must place strictly in the future, before the clock can reach
-// at — the partitioned run's conservative lookahead (run caps strictly
-// below any unknown completion) guarantees no event at time at with a
-// later sequence number has fired yet, so held events keep exact
-// classic ordering.
-func (k *Kernel) Place(t Timer, at float64) {
-	if t.k != k {
-		panic("sim: Place on a foreign or stopped timer")
-	}
-	s := &k.slots[t.id]
-	if s.seq != t.seq {
-		panic("sim: Place on a fired or cancelled event")
-	}
-	if at <= k.now {
-		panic(fmt.Sprintf("sim: held event placed at %g, now %g", at, k.now))
-	}
-	k.placeAt(at, t.id, s, t.seq)
-}
-
 // skipStaleLane advances past cancelled entries at the lane head,
 // reporting whether a live lane event is pending. Turn entries are
 // slot-free and uncancellable, so they are always live.
@@ -837,12 +685,7 @@ fire:
 	s := &k.slots[id]
 	karg, fn := s.karg, s.fn
 	if k.sink != nil {
-		tk := uint8(karg & 7)
-		if tk == evMessage {
-			// The in-kernel encoding collides with trace.KindCancel.
-			tk = trace.KindMessage
-		}
-		k.sink.Dispatch(k.now, s.seq, tk, karg>>3)
+		k.sink.Dispatch(k.now, s.seq, uint8(karg&7), karg>>3)
 	}
 	k.freeSlot(id, s)
 	k.steps++
@@ -864,74 +707,36 @@ fire:
 		k.tasks[arg].Interrupt()
 	case evComplete:
 		k.comps[arg].Complete(true)
-	case evMessage:
-		e := &k.msgs[arg]
-		h, m := e.handler, e.m
-		e.next = k.msgFree
-		k.msgFree = arg
-		k.msgh[h].HandleMessage(m)
 	default: // evCompleteQ
 		k.comps[arg].Complete(false)
 	}
 	return true
 }
 
-// Run executes events until the clock would pass min(until, run cap) or
-// no events remain; the clock is then clamped up to that bound. Events
-// scheduled exactly at the bound do run. The cap (see SetRunCap) is
-// re-read every iteration, so an event handler lowering it mid-run
-// stops the loop at the tightened bound.
+// Run executes events until the clock would pass `until` or no events
+// remain. The clock is left at min(until, time of last event executed).
+// Events scheduled exactly at `until` do run.
 func (k *Kernel) Run(until float64) {
-	lim := until
-	if k.runCap < lim {
-		lim = k.runCap
-	}
 	for {
 		if k.skipStaleLane() {
-			if k.now > lim {
+			if k.now > until {
 				break
 			}
 		} else if k.regN > 0 {
 			// Peek inline: the front register holds the earliest timed
 			// event, so the boundary check needs no full reload.
-			if k.reg[0].at > lim {
+			if k.reg[0].at > until {
 				break
 			}
-		} else if timed, ok := k.nextTimed(); !ok || timed.at > lim {
+		} else if timed, ok := k.nextTimed(); !ok || timed.at > until {
 			break
 		}
 		k.Step()
-		if k.runCap < lim {
-			lim = k.runCap
-		}
 	}
-	if k.now < lim {
-		k.now = lim
+	if k.now < until {
+		k.now = until
 	}
 }
-
-// SetRunCap sets the absolute time bound Run may not pass regardless of
-// its until argument: events later than cap stay pending and the clock
-// clamps to min(until, cap). math.Inf(1) — the constructed default —
-// disables the cap. Partitioned execution sets it to the conservative
-// bound a partition's inputs are known up to.
-func (k *Kernel) SetRunCap(cap float64) { k.runCap = cap }
-
-// LowerRunCap tightens the run cap to cap when that is lower, leaving a
-// lower existing cap in place. Safe to call from an event handler
-// mid-Run: the loop re-reads the cap after every step. Lowering below
-// the current clock panics — the past has already run.
-func (k *Kernel) LowerRunCap(cap float64) {
-	if cap < k.now {
-		panic(fmt.Sprintf("sim: run cap %g below current time %g", cap, k.now))
-	}
-	if cap < k.runCap {
-		k.runCap = cap
-	}
-}
-
-// RunCap returns the current run cap (+Inf when unset).
-func (k *Kernel) RunCap() float64 { return k.runCap }
 
 // Drain executes every remaining event. Intended for tests and teardown.
 func (k *Kernel) Drain() {

@@ -224,7 +224,7 @@ func (c *taskCore) Interrupt() {
 			c.deliverWake(true)
 		case cancelGate:
 			c.cancel = cancelNone
-			c.wait.gate.interruptRemove(&c.wait)
+			c.wait.gate.remove(&c.wait)
 			c.deliverWake(true)
 		case cancelPlain:
 			c.cancel = cancelNone

@@ -7,70 +7,90 @@ import (
 )
 
 // TestWheelOrderConformance is a randomized stress of the full event
-// queue against a reference model: events with delays spanning sub-tick
-// to beyond the far horizon, a third of them cancelled, must fire in
-// exactly the (time, seq) order a sorted list predicts. This exercises
-// level-0 buckets, outer-level cascades, the far heap and its
-// migration, the front registers, and tombstone sweeps together.
+// queue against a reference model: twenty rounds of checkWheelOrder
+// drawn from one seeded stream.
 func TestWheelOrderConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		checkWheelOrder(t, rng, round)
+	}
+}
+
+// FuzzWheelOrder runs one checkWheelOrder round per fuzzed seed. The
+// seed corpus (7 is TestWheelOrderConformance's stream) runs under
+// plain go test; go test -fuzz FuzzWheelOrder explores further seeds.
+func FuzzWheelOrder(f *testing.F) {
+	for _, seed := range []int64{7, 1, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkWheelOrder(t, rand.New(rand.NewSource(seed)), 0)
+	})
+}
+
+// checkWheelOrder schedules 100–299 events with delays spanning
+// sub-tick to beyond the far horizon, cancels about a third of them,
+// and checks that the rest fire in exactly the (time, seq) order a
+// sorted list predicts. This exercises level-0 buckets, outer-level
+// cascades, the far heap and its migration, the front registers, and
+// tombstone sweeps together.
+func checkWheelOrder(t *testing.T, rng *rand.Rand, round int) {
+	t.Helper()
 	type ref struct {
 		at  float64
 		seq int
 	}
-	rng := rand.New(rand.NewSource(7))
 	// Delay magnitudes: same-tick, level 0, outer levels, far horizon.
 	mags := []float64{0.01, 0.4, 3, 70, 4000, 300000, 2e8, 5e9}
-	for round := 0; round < 20; round++ {
-		k := NewKernel()
-		var fired []int
-		var model []ref
-		var timers []Timer
-		seq := 0
-		n := 100 + rng.Intn(200)
-		var delays []float64
-		for i := 0; i < n; i++ {
-			var d float64
-			if len(delays) > 0 && rng.Intn(4) == 0 {
-				// Reuse an earlier delay bit for bit: equal-time events
-				// must tie-break on sequence.
-				d = delays[rng.Intn(len(delays))]
-			} else {
-				d = mags[rng.Intn(len(mags))] * (0.5 + rng.Float64())
-			}
-			delays = append(delays, d)
-			at := d // scheduled from time 0
-			id := seq
-			timers = append(timers, k.At(d, func() { fired = append(fired, id) }))
-			model = append(model, ref{at: at, seq: id})
-			seq++
+	k := NewKernel()
+	var fired []int
+	var model []ref
+	var timers []Timer
+	seq := 0
+	n := 100 + rng.Intn(200)
+	var delays []float64
+	for i := 0; i < n; i++ {
+		var d float64
+		if len(delays) > 0 && rng.Intn(4) == 0 {
+			// Reuse an earlier delay bit for bit: equal-time events
+			// must tie-break on sequence.
+			d = delays[rng.Intn(len(delays))]
+		} else {
+			d = mags[rng.Intn(len(mags))] * (0.5 + rng.Float64())
 		}
-		cancelled := map[int]bool{}
-		for i := range timers {
-			if rng.Intn(3) == 0 {
-				timers[i].Stop()
-				cancelled[i] = true
-			}
+		delays = append(delays, d)
+		at := d // scheduled from time 0
+		id := seq
+		timers = append(timers, k.At(d, func() { fired = append(fired, id) }))
+		model = append(model, ref{at: at, seq: id})
+		seq++
+	}
+	cancelled := map[int]bool{}
+	for i := range timers {
+		if rng.Intn(3) == 0 {
+			timers[i].Stop()
+			cancelled[i] = true
 		}
-		var want []ref
-		for _, m := range model {
-			if !cancelled[m.seq] {
-				want = append(want, m)
-			}
+	}
+	var want []ref
+	for _, m := range model {
+		if !cancelled[m.seq] {
+			want = append(want, m)
 		}
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].at != want[b].at {
-				return want[a].at < want[b].at
-			}
-			return want[a].seq < want[b].seq
-		})
-		k.Drain()
-		if len(fired) != len(want) {
-			t.Fatalf("round %d: fired %d events, want %d", round, len(fired), len(want))
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].at != want[b].at {
+			return want[a].at < want[b].at
 		}
-		for i := range want {
-			if fired[i] != want[i].seq {
-				t.Fatalf("round %d: position %d fired seq %d, want %d", round, i, fired[i], want[i].seq)
-			}
+		return want[a].seq < want[b].seq
+	})
+	k.Drain()
+	if len(fired) != len(want) {
+		t.Fatalf("round %d: fired %d events, want %d", round, len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i].seq {
+			t.Fatalf("round %d: position %d fired seq %d, want %d", round, i, fired[i], want[i].seq)
 		}
 	}
 }

@@ -58,10 +58,10 @@ const (
 
 // Kernel event kinds mirror internal/sim's typed event kinds by value
 // (sim asserts the correspondence in its tests); Cancel is an extra
-// trace-only kind recorded by Timer.Stop and hold cancels, and Message
-// is the trace name of sim's cross-partition message delivery (whose
-// 3-bit in-kernel encoding collides with Cancel's value, so the kernel
-// translates it at the sink boundary).
+// trace-only kind recorded by Timer.Stop and hold cancels. Message is
+// a retired kind: the kernel no longer emits it, but the value stays
+// reserved so consumers that size per-kind tables by KindMessage+1 keep
+// working.
 const (
 	KindClosure uint8 = iota
 	KindTurn

@@ -187,12 +187,9 @@ func OverloadConfig(clients int) Config {
 // simulated second. This is the scaled-up "many lines of business on
 // one box" topology the partitioned path exists for: simulated work
 // grows linearly with tenants while each cell's event loop stays the
-// baseline size, so wall clock scales down with Shards (results are
-// identical for every Shards value). Setting DiskShards as well cuts
-// every cell's disk farm across extra kernels — Tenants×DiskShards+
-// Tenants schedulable partitions — under the same results-identical
-// contract; DiskShards alone is the knob that partitions a classic
-// single-tenant run.
+// baseline size, so on a multi-core host wall clock scales down with
+// Shards (results are identical for every Shards value). Tenant cells
+// are the only partitioning: each cell runs on one kernel.
 func MultiTenantConfig(tenants int) Config {
 	cfg := BaselineConfig()
 	cfg.Tenants = tenants
