@@ -21,12 +21,12 @@ func TestGoldenKernelDigests(t *testing.T) {
 		arrived, completed, missed, events int
 		missRatio                          string
 	}{
-		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 551455, 93, 52, 35, 87, "0.402298850575"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1221006, 93, 41, 44, 85, "0.517647058824"},
-		{"MinMax-10", pmm.PolicyConfig{Kind: pmm.PolicyMinMax, MPLLimit: 10}, 1210808, 93, 41, 44, 85, "0.517647058824"},
-		{"Proportional", pmm.PolicyConfig{Kind: pmm.PolicyProportional}, 1246323, 93, 44, 40, 84, "0.476190476190"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 628652, 93, 44, 43, 87, "0.494252873563"},
-		{"FairPMM", pmm.PolicyConfig{Kind: pmm.PolicyFairPMM}, 628652, 93, 44, 43, 87, "0.494252873563"},
+		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 474239, 93, 52, 35, 87, "0.402298850575"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1072378, 93, 41, 44, 85, "0.517647058824"},
+		{"MinMax-10", pmm.PolicyConfig{Kind: pmm.PolicyMinMax, MPLLimit: 10}, 1059420, 93, 41, 44, 85, "0.517647058824"},
+		{"Proportional", pmm.PolicyConfig{Kind: pmm.PolicyProportional}, 1091526, 93, 44, 40, 84, "0.476190476190"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 540505, 93, 44, 43, 87, "0.494252873563"},
+		{"FairPMM", pmm.PolicyConfig{Kind: pmm.PolicyFairPMM}, 540505, 93, 44, 43, 87, "0.494252873563"},
 	}
 	for _, g := range golden {
 		g := g
@@ -83,9 +83,9 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 		arrived, completed, missed, events int
 		missRatio                          string
 	}{
-		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 660174, 151, 35, 103, 138, "0.746376811594"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1336843, 151, 15, 122, 137, "0.890510948905"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 853199, 151, 29, 108, 137, "0.788321167883"},
+		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 570535, 151, 35, 103, 138, "0.746376811594"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1187686, 151, 15, 122, 137, "0.890510948905"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 744077, 151, 29, 108, 137, "0.788321167883"},
 	}
 	for _, g := range golden {
 		g := g
@@ -144,9 +144,9 @@ func TestGoldenDeepFrameDigests(t *testing.T) {
 		arrived, completed, missed, events int
 		missRatio                          string
 	}{
-		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 133331, 154, 32, 112, 144, "0.777777777778"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1059341, 154, 22, 121, 143, "0.846153846154"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 587118, 154, 34, 109, 143, "0.762237762238"},
+		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 114330, 154, 32, 112, 144, "0.777777777778"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 916686, 154, 22, 121, 143, "0.846153846154"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 503759, 154, 34, 109, 143, "0.762237762238"},
 	}
 	for _, g := range golden {
 		g := g
@@ -210,8 +210,8 @@ func TestGoldenPhaseShiftDigests(t *testing.T) {
 		arrived, completed, missed, events int
 		missRatio                          string
 	}{
-		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 476020, 76, 41, 20, 61, "0.327868852459"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 670689, 76, 38, 21, 59, "0.355932203390"},
+		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 411562, 76, 41, 20, 61, "0.327868852459"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 576887, 76, 38, 21, 59, "0.355932203390"},
 	}
 	for _, g := range golden {
 		g := g
@@ -269,9 +269,9 @@ func TestGoldenOverloadDigests(t *testing.T) {
 		arrived, rejected, completed, missed, events int
 		missRatio, lossRatio                         string
 	}{
-		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 1918054, 4807, 692, 2011, 2068, 4079, "0.506987006619", "0.143956729769"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1856126, 4807, 0, 1299, 3470, 4769, "0.727615852380", "0.000000000000"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 1918054, 4807, 692, 2011, 2068, 4079, "0.506987006619", "0.143956729769"},
+		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 1873832, 4807, 692, 2011, 2068, 4079, "0.506987006619", "0.143956729769"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1840827, 4807, 0, 1299, 3470, 4769, "0.727615852380", "0.000000000000"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 1873832, 4807, 692, 2011, 2068, 4079, "0.506987006619", "0.143956729769"},
 	}
 	for _, g := range golden {
 		g := g

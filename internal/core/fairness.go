@@ -63,6 +63,20 @@ type FairPMM struct {
 	*PMM
 	fcfg    FairnessConfig
 	classes []classState
+
+	// Replan working memory, kept across calls: the boosted ordering,
+	// the queries in that order, and the delegated strategy's scratch.
+	shadows []shadow
+	ordered []*query.Query
+	inner   policy.Scratch
+}
+
+// shadow is one present query under its boosted priority; idx is its
+// position in the controller's ED order.
+type shadow struct {
+	q    *query.Query
+	prio float64
+	idx  int
 }
 
 // NewFair returns a fairness-augmented PMM for numClasses classes.
@@ -132,45 +146,41 @@ func (f *FairPMM) deficit(class int) float64 {
 // controller saw. The boost advances a lagging class's deadlines by up
 // to Gain × the query's own time constraint — enough to win admission
 // ties without letting a hopeless query starve an urgent one.
-func (f *FairPMM) Allocate(present []*query.Query, total int) []int {
+func (f *FairPMM) Allocate(present []*query.Query, total int, s *policy.Scratch) []int {
+	out := s.Grants(len(present))
 	if len(present) == 0 {
-		return nil
+		return out
 	}
 	// Build a shadow ordering with boosted priorities.
-	type shadow struct {
-		q    *query.Query
-		prio float64
-		idx  int
-	}
-	shadows := make([]shadow, len(present))
+	f.shadows = f.shadows[:0]
 	for i, q := range present {
 		boost := f.deficit(q.Class)
 		if boost < 0 {
 			boost = 0
 		}
 		prio := q.Deadline - math.Min(boost*f.fcfg.Gain, 1)*q.TimeConstraint()
-		shadows[i] = shadow{q: q, prio: prio, idx: i}
+		f.shadows = append(f.shadows, shadow{q: q, prio: prio, idx: i})
 	}
+	shadows := f.shadows
 	// Insertion sort by boosted priority (stable, small n).
 	for i := 1; i < len(shadows); i++ {
 		for j := i; j > 0 && shadows[j].prio < shadows[j-1].prio; j-- {
 			shadows[j], shadows[j-1] = shadows[j-1], shadows[j]
 		}
 	}
-	ordered := make([]*query.Query, len(shadows))
-	for i, s := range shadows {
-		ordered[i] = s.q
+	f.ordered = f.ordered[:0]
+	for _, sh := range shadows {
+		f.ordered = append(f.ordered, sh.q)
 	}
 	var grants []int
 	if f.Mode() == ModeMax {
-		grants = policy.Max{}.Allocate(ordered, total)
+		grants = policy.Max{}.Allocate(f.ordered, total, &f.inner)
 	} else {
-		grants = policy.MinMaxN{N: f.PMM.target}.Allocate(ordered, total)
+		grants = policy.MinMaxN{N: f.PMM.target}.Allocate(f.ordered, total, &f.inner)
 	}
 	// Map the grants back to the controller's ED order.
-	out := make([]int, len(present))
-	for i, s := range shadows {
-		out[s.idx] = grants[i]
+	for i, sh := range shadows {
+		out[sh.idx] = grants[i]
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pmm/internal/policy"
 	"pmm/internal/query"
 )
 
@@ -58,7 +59,7 @@ func TestFairAllocateBoostsPriority(t *testing.T) {
 	// Two queries, identical needs; class 0's deadline slightly earlier.
 	q0 := &query.Query{ID: 1, Class: 0, Arrival: 0, Deadline: 100, MinMem: 40, MaxMem: 900}
 	q1 := &query.Query{ID: 2, Class: 1, Arrival: 0, Deadline: 110, MinMem: 40, MaxMem: 900}
-	grants := f.Allocate([]*query.Query{q0, q1}, 1000)
+	grants := f.Allocate([]*query.Query{q0, q1}, 1000, &policy.Scratch{})
 	// Max mode, only one fits: the boosted class-1 query should win
 	// despite its later deadline.
 	if grants[1] == 0 {
@@ -77,7 +78,7 @@ func TestFairAllocateNeutralWithoutDeficit(t *testing.T) {
 	}
 	q0 := &query.Query{ID: 1, Class: 0, Arrival: 0, Deadline: 100, MinMem: 40, MaxMem: 900}
 	q1 := &query.Query{ID: 2, Class: 1, Arrival: 0, Deadline: 110, MinMem: 40, MaxMem: 900}
-	grants := f.Allocate([]*query.Query{q0, q1}, 1000)
+	grants := f.Allocate([]*query.Query{q0, q1}, 1000, &policy.Scratch{})
 	if grants[0] == 0 {
 		t.Fatalf("balanced classes must keep plain ED order: %v", grants)
 	}
@@ -85,7 +86,7 @@ func TestFairAllocateNeutralWithoutDeficit(t *testing.T) {
 
 func TestFairAllocateEmptyAndGrantsAlign(t *testing.T) {
 	f := newFair(&fakeProbe{}, nil, 1)
-	if got := f.Allocate(nil, 100); got != nil {
+	if got := f.Allocate(nil, 100, &policy.Scratch{}); len(got) != 0 {
 		t.Fatalf("empty present: %v", got)
 	}
 	qs := []*query.Query{
@@ -93,7 +94,7 @@ func TestFairAllocateEmptyAndGrantsAlign(t *testing.T) {
 		{ID: 2, Class: 0, Deadline: 20, MinMem: 10, MaxMem: 50},
 		{ID: 3, Class: 0, Deadline: 30, MinMem: 10, MaxMem: 50},
 	}
-	grants := f.Allocate(qs, 100)
+	grants := f.Allocate(qs, 100, &policy.Scratch{})
 	if len(grants) != 3 {
 		t.Fatalf("grants %v", grants)
 	}

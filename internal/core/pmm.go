@@ -186,11 +186,11 @@ func (p *PMM) Trace() []TracePoint { return p.trace }
 func (p *PMM) Restarts() int { return p.restarts }
 
 // Allocate dispatches to the active strategy.
-func (p *PMM) Allocate(present []*query.Query, total int) []int {
+func (p *PMM) Allocate(present []*query.Query, total int, s *policy.Scratch) []int {
 	if p.mode == ModeMax {
-		return policy.Max{}.Allocate(present, total)
+		return policy.Max{}.Allocate(present, total, s)
 	}
-	return policy.MinMaxN{N: p.target}.Allocate(present, total)
+	return policy.MinMaxN{N: p.target}.Allocate(present, total, s)
 }
 
 // OnTermination feeds one finished (completed or missed) query into the

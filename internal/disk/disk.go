@@ -110,13 +110,14 @@ type Disk struct {
 	served    uint64 // completed requests
 	seqHits   uint64 // requests served from a tracked stream
 
-	// Allocation-free service plumbing: requests are pooled, completions
-	// are typed kernel events addressing the disk by its registered
-	// completer id, and the in-service entry is carried in cur rather
-	// than captured in per-dispatch closures.
-	reqFree []*Request
-	cur     *sim.Waiting
-	compID  int32
+	// Allocation-free service plumbing: callers own their request
+	// records, completions are typed kernel events addressing the disk by
+	// its registered completer id, and the in-service entry is carried in
+	// cur rather than captured in per-dispatch closures. The direct
+	// caller is kept by task id, so it is never a recycled record.
+	cur    *sim.Waiting
+	compID int32
+	waiter int32
 
 	// The 256 KB prefetch cache tracks a small number of concurrent
 	// sequential streams (most recently used first). More interleaved
@@ -230,23 +231,6 @@ func (d *Disk) Served() uint64 { return d.served }
 // QueueLen returns the number of queued requests.
 func (d *Disk) QueueLen() int { return d.gate.Len() }
 
-// getReq takes a request record from the disk's pool.
-func (d *Disk) getReq() *Request {
-	if n := len(d.reqFree) - 1; n >= 0 {
-		r := d.reqFree[n]
-		d.reqFree = d.reqFree[:n]
-		return r
-	}
-	return &Request{}
-}
-
-// putReq recycles a request record once nothing references it: after the
-// owning access call unwinds (queued path) or once its service time has
-// been computed (direct path).
-func (d *Disk) putReq(r *Request) {
-	d.reqFree = append(d.reqFree, r)
-}
-
 // clamp validates a request and confines it to the physical disk.
 func (d *Disk) clamp(req *Request) {
 	if req.pages <= 0 {
@@ -292,15 +276,16 @@ func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, fil
 func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
 	d.clamp(req)
 	if !d.busy {
-		// Idle disk: serve immediately, exactly as serveDirect does for
-		// the blocking path — disk-side completion scheduled before the
-		// caller's hold timer. The request is fully consumed here, so the
-		// caller may reuse the scratch record as soon as it resumes.
+		// Idle disk: serve immediately; the completion wakes the caller
+		// after dispatching the next request. The request is fully
+		// consumed here, so the caller may reuse the scratch record as
+		// soon as it resumes (at once, if interrupted mid-transfer).
 		d.busy = true
 		d.meter.SetBusy(true)
 		service := d.serviceTime(req)
 		d.k.AtComplete(service, d.compID, true)
-		return t.StartHold(service)
+		d.waiter = t.ID()
+		return t.StartService(d.compID)
 	}
 	// Queued: the scratch record backs the queue entry until dispatch
 	// reads its service parameters or an interrupt unlinks the entry.
@@ -344,13 +329,15 @@ func (d *Disk) Complete(direct bool) {
 	}
 }
 
-// completeDirect finishes a directly served request; the caller's own
-// hold timer (scheduled after this event) wakes it separately.
+// completeDirect finishes a directly served request: it dispatches the
+// next request, then wakes the caller unless an interrupt already
+// resumed it.
 func (d *Disk) completeDirect() {
 	d.served++
 	d.busy = false
 	d.meter.SetBusy(false)
 	d.dispatch()
+	d.k.EndService(d.waiter, d.compID)
 }
 
 // completeQueued finishes a dispatched request: the served process's

@@ -195,6 +195,34 @@ func TestInterruptWhileQueued(t *testing.T) {
 	}
 }
 
+// TestInterruptMidTransferResumesAtOnce pins the direct-service wait: an
+// interrupt resumes the caller at once while the transfer runs on, and
+// the transfer's completion then wakes nobody — not even the same caller
+// parked by then on another disk's transfer.
+func TestInterruptMidTransferResumesAtOnce(t *testing.T) {
+	k, m := newTestManager(t, 2, 100)
+	d0, d1 := m.Disk(0), m.Disk(1)
+	var first, second bool
+	var interruptedAt, doneAt float64
+	reader := k.Spawn("reader", func(p *sim.Proc) {
+		first = d0.Access(p, 0, 700, 30)
+		interruptedAt = p.Now()
+		second = d1.Access(p, 0, 700, 90)
+		doneAt = p.Now()
+	})
+	k.At(0.001, func() { reader.Interrupt() })
+	k.Drain()
+	if first || interruptedAt != 0.001 {
+		t.Fatalf("interrupted transfer returned %v at %g, want false at 0.001", first, interruptedAt)
+	}
+	if min := 0.001 + DefaultParams().TransferTime(90); !second || doneAt < min {
+		t.Fatalf("second transfer returned %v at %g, want true no earlier than %g", second, doneAt, min)
+	}
+	if d0.Served() != 1 || d0.Meter().BusyTime() < DefaultParams().TransferTime(30) {
+		t.Fatalf("interrupted transfer not completed on the disk: served %d, busy %g", d0.Served(), d0.Meter().BusyTime())
+	}
+}
+
 func TestUtilizationWindows(t *testing.T) {
 	k, m := newTestManager(t, 2, 100)
 	k.Spawn("user", func(p *sim.Proc) {

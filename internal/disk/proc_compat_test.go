@@ -13,49 +13,20 @@ import "pmm/internal/sim"
 // given cylinder with the given ED priority (lower = more urgent). The
 // calling process blocks until the transfer completes. It returns false
 // if the process was interrupted — while queued (no disk time consumed)
-// or mid-transfer (the transfer finishes first).
+// or mid-transfer (at once if the disk was idle when the access began,
+// else once the transfer finishes).
 func (d *Disk) Access(p *sim.Proc, prio float64, cylinder, pages int) bool {
-	req := d.getReq()
-	*req = Request{cylinder: cylinder, pages: pages, prio: prio}
-	return d.access(p, prio, req)
+	return d.access(p, prio, &Request{cylinder: cylinder, pages: pages, prio: prio})
 }
 
 // AccessSeq performs a sequential access: page `fromPage` of `file`,
 // with the prefetch-cache semantics of StartAccessSeq.
 func (d *Disk) AccessSeq(p *sim.Proc, prio float64, cylinder, pages int, file int64, fromPage int) bool {
-	req := d.getReq()
-	*req = Request{
+	return d.access(p, prio, &Request{
 		cylinder: cylinder, pages: pages, prio: prio, file: file, page: fromPage,
-	}
-	return d.access(p, prio, req)
+	})
 }
 
 func (d *Disk) access(p *sim.Proc, prio float64, req *Request) bool {
-	d.clamp(req)
-	if !d.busy {
-		// Idle disk: serve immediately. Queueing through the gate keeps
-		// interrupt semantics uniform but we can dispatch synchronously.
-		return d.serveDirect(p, req)
-	}
-	// By the time Wait returns the request is no longer referenced: an
-	// interrupted entry was unlinked, and a dispatched one had its
-	// service time consumed before its process was woken.
-	ok := d.gate.Wait(p, prio, req)
-	d.putReq(req)
-	return ok
-}
-
-// serveDirect services a request for the calling process on an idle disk.
-// The disk-side completion event is scheduled before the caller's hold
-// timer, so disk state is updated (and the next request dispatched)
-// before the caller resumes. If the caller is interrupted mid-transfer it
-// unwinds immediately, but the transfer itself still completes on the
-// disk's timeline.
-func (d *Disk) serveDirect(p *sim.Proc, req *Request) bool {
-	d.busy = true
-	d.meter.SetBusy(true)
-	service := d.serviceTime(req)
-	d.putReq(req)
-	d.k.AtComplete(service, d.compID, true)
-	return p.Hold(service)
+	return d.start(p, prio, req) && p.Await()
 }

@@ -49,8 +49,8 @@ func New(tuplesPerPage, blockSize int) *Sort {
 }
 
 // Start builds the per-execution state and returns the root frame. The
-// state comes from the kernel's frame arena when it has one, so sweep
-// replicates after the first run sort setup allocation-free.
+// state comes from the kernel's frame arena when it has one, reusing
+// state handed back by Release.
 func (op *Sort) Start(e *query.Exec) sim.Frame {
 	s := sim.AllocFrom[sstate](e.K.Arena())
 	s.e, s.op, s.open = e, op, make(map[*mergeFile]bool)
@@ -59,6 +59,13 @@ func (op *Sort) Start(e *query.Exec) sim.Frame {
 	s.fEmit.s = s
 	s.fMerge.s = s
 	return &s.fRun
+}
+
+// Release hands the state behind root, a finished frame from Start, back
+// to the kernel's arena for a later Start.
+func (op *Sort) Release(root sim.Frame) {
+	s := root.(*sortFrame).s
+	sim.FreeTo(s.e.K.Arena(), s)
 }
 
 // mergeFile wraps a temp file with a reference count of the runs still

@@ -70,8 +70,8 @@ func New(f float64, tuplesPerPage, blockSize int) *PPHJ {
 }
 
 // Start builds the per-execution state and returns the root frame. The
-// state comes from the kernel's frame arena when it has one, so sweep
-// replicates after the first run join setup allocation-free.
+// state comes from the kernel's frame arena when it has one, reusing
+// state handed back by Release, so joins set up allocation-free.
 func (op *PPHJ) Start(e *query.Exec) sim.Frame {
 	s := sim.AllocFrom[jstate](e.K.Arena())
 	s.e, s.op, s.b = e, op, NumPartitions(e.Q.R.Pages, op.f)
@@ -85,6 +85,13 @@ func (op *PPHJ) Start(e *query.Exec) sim.Frame {
 	s.fExpand.s = s
 	s.fReadBack.s = s
 	return &s.fRun
+}
+
+// Release hands the state behind root, a finished frame from Start, back
+// to the kernel's arena for a later Start.
+func (op *PPHJ) Release(root sim.Frame) {
+	s := root.(*runFrame).s
+	sim.FreeTo(s.e.K.Arena(), s)
 }
 
 // jstate is the per-execution state of a join: the shared data the

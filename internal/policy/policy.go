@@ -8,6 +8,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"pmm/internal/query"
 )
@@ -15,10 +16,27 @@ import (
 // Allocator decides each present query's memory grant. `present` is
 // sorted by ED priority, most urgent first; the result is aligned with it
 // and every grant is 0 or within [MinMem, MaxMem] of its query, summing
-// to at most total.
+// to at most total. The result is backed by s and valid until the next
+// call with the same scratch.
 type Allocator interface {
 	Name() string
-	Allocate(present []*query.Query, total int) []int
+	Allocate(present []*query.Query, total int, s *Scratch) []int
+}
+
+// Scratch is the working memory Allocate writes into. The caller owns
+// it and passes the same one to every replan, so once it has grown to
+// the largest present list, replans allocate nothing. The zero value is
+// ready to use.
+type Scratch struct {
+	grants   []int
+	admitted []int
+}
+
+// Grants returns a zeroed slice of n grants backed by s.
+func (s *Scratch) Grants(n int) []int {
+	s.grants = slices.Grow(s.grants[:0], n)[:n]
+	clear(s.grants)
+	return s.grants
 }
 
 // Max admits queries at their maximum allocation or not at all, with no
@@ -30,8 +48,8 @@ type Max struct{}
 func (Max) Name() string { return "Max" }
 
 // Allocate implements the Max strategy.
-func (Max) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (Max) Allocate(present []*query.Query, total int, s *Scratch) []int {
+	grants := s.Grants(len(present))
 	free := total
 	for i, q := range present {
 		if q.MaxMem <= free {
@@ -60,10 +78,10 @@ func (m MinMaxN) Name() string {
 }
 
 // Allocate implements the two-pass MinMax allocation of §3.2.
-func (m MinMaxN) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (m MinMaxN) Allocate(present []*query.Query, total int, s *Scratch) []int {
+	grants := s.Grants(len(present))
 	free := total
-	admitted := admitMinimums(present, grants, &free, m.N)
+	admitted := s.admitMinimums(present, grants, &free, m.N)
 	// Second pass: top up in priority order. The last query topped may
 	// land between its minimum and maximum — the §3.2 exception.
 	for _, i := range admitted {
@@ -100,10 +118,10 @@ func (p ProportionalN) Name() string {
 // Allocate implements proportional division: the largest fraction φ such
 // that Σ max(min_i, φ·max_i) fits in memory, found by bisection (the sum
 // is monotone in φ).
-func (p ProportionalN) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (p ProportionalN) Allocate(present []*query.Query, total int, s *Scratch) []int {
+	grants := s.Grants(len(present))
 	free := total
-	admitted := admitMinimums(present, grants, &free, p.N)
+	admitted := s.admitMinimums(present, grants, &free, p.N)
 	if len(admitted) == 0 {
 		return grants
 	}
@@ -152,9 +170,9 @@ func (p ProportionalN) Allocate(present []*query.Query, total int) []int {
 // admitMinimums performs the shared first pass: walk the ED-ordered
 // queries granting minimum demands while they fit and the admission count
 // stays within limit (0 = unlimited). It returns the admitted indices in
-// priority order and decrements *free in place.
-func admitMinimums(present []*query.Query, grants []int, free *int, limit int) []int {
-	var admitted []int
+// priority order, backed by s, and decrements *free in place.
+func (s *Scratch) admitMinimums(present []*query.Query, grants []int, free *int, limit int) []int {
+	admitted := s.admitted[:0]
 	for i, q := range present {
 		if limit > 0 && len(admitted) >= limit {
 			break
@@ -165,6 +183,7 @@ func admitMinimums(present []*query.Query, grants []int, free *int, limit int) [
 			admitted = append(admitted, i)
 		}
 	}
+	s.admitted = admitted
 	return admitted
 }
 

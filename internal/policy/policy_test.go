@@ -35,7 +35,7 @@ func TestMaxGrantsAllOrNothing(t *testing.T) {
 	present := []*query.Query{
 		q(1, 10, 40, 1200), q(2, 20, 40, 1200), q(3, 30, 40, 700),
 	}
-	grants := Max{}.Allocate(present, 2560)
+	grants := Max{}.Allocate(present, 2560, &Scratch{})
 	checkInvariants(t, "Max", present, grants, 2560)
 	if grants[0] != 1200 || grants[1] != 1200 {
 		t.Fatalf("two max demands fit: %v", grants)
@@ -49,7 +49,7 @@ func TestMaxSkipsOversizedButServesSmaller(t *testing.T) {
 	// ED order: the big query first. It doesn't fit, a smaller later one
 	// does — Max admits as many max allocations as memory permits.
 	present := []*query.Query{q(1, 10, 40, 3000), q(2, 20, 40, 1000)}
-	grants := Max{}.Allocate(present, 2560)
+	grants := Max{}.Allocate(present, 2560, &Scratch{})
 	if grants[0] != 0 || grants[1] != 1000 {
 		t.Fatalf("grants %v", grants)
 	}
@@ -59,7 +59,7 @@ func TestMinMaxTwoPass(t *testing.T) {
 	present := []*query.Query{
 		q(1, 10, 40, 1300), q(2, 20, 40, 1300), q(3, 30, 40, 1300),
 	}
-	grants := MinMaxN{}.Allocate(present, 2560)
+	grants := MinMaxN{}.Allocate(present, 2560, &Scratch{})
 	checkInvariants(t, "MinMax", present, grants, 2560)
 	// Pass 1 reserves 3×40 = 120; pass 2 tops q1 to 1300, then q2 gets
 	// the rest: 2560−120−1260 = 1180 extra ⇒ 1220; q3 stays at min.
@@ -78,7 +78,7 @@ func TestMinMaxNLimit(t *testing.T) {
 	present := []*query.Query{
 		q(1, 10, 40, 100), q(2, 20, 40, 100), q(3, 30, 40, 100), q(4, 40, 40, 100),
 	}
-	grants := MinMaxN{N: 2}.Allocate(present, 10_000)
+	grants := MinMaxN{N: 2}.Allocate(present, 10_000, &Scratch{})
 	checkInvariants(t, "MinMax-2", present, grants, 10_000)
 	if grants[0] != 100 || grants[1] != 100 {
 		t.Fatalf("admitted queries should reach max: %v", grants)
@@ -91,7 +91,7 @@ func TestMinMaxNLimit(t *testing.T) {
 func TestMinMaxAdmissionByPriority(t *testing.T) {
 	// Memory fits only one minimum: the most urgent wins.
 	present := []*query.Query{q(1, 10, 60, 100), q(2, 20, 60, 100)}
-	grants := MinMaxN{}.Allocate(present, 100)
+	grants := MinMaxN{}.Allocate(present, 100, &Scratch{})
 	if grants[0] != 100 || grants[1] != 0 {
 		t.Fatalf("grants %v", grants)
 	}
@@ -101,7 +101,7 @@ func TestProportionalEqualFractions(t *testing.T) {
 	present := []*query.Query{
 		q(1, 10, 10, 1000), q(2, 20, 10, 500),
 	}
-	grants := ProportionalN{}.Allocate(present, 750)
+	grants := ProportionalN{}.Allocate(present, 750, &Scratch{})
 	checkInvariants(t, "Proportional", present, grants, 750)
 	// φ = 0.5: 500 and 250.
 	f0 := float64(grants[0]) / 1000
@@ -116,7 +116,7 @@ func TestProportionalFloorsAtMinimum(t *testing.T) {
 		q(1, 10, 200, 1000), // φ·1000 < 200 would violate the floor
 		q(2, 20, 10, 2000),
 	}
-	grants := ProportionalN{}.Allocate(present, 400)
+	grants := ProportionalN{}.Allocate(present, 400, &Scratch{})
 	checkInvariants(t, "Proportional", present, grants, 400)
 	if grants[0] < 200 {
 		t.Fatalf("minimum floor violated: %v", grants)
@@ -125,7 +125,7 @@ func TestProportionalFloorsAtMinimum(t *testing.T) {
 
 func TestProportionalFullFit(t *testing.T) {
 	present := []*query.Query{q(1, 10, 10, 100), q(2, 20, 10, 100)}
-	grants := ProportionalN{}.Allocate(present, 1000)
+	grants := ProportionalN{}.Allocate(present, 1000, &Scratch{})
 	if grants[0] != 100 || grants[1] != 100 {
 		t.Fatalf("abundant memory should give everyone max: %v", grants)
 	}
@@ -145,6 +145,7 @@ func TestSortByPriority(t *testing.T) {
 
 func TestAllocatorsProperty(t *testing.T) {
 	allocs := []Allocator{Max{}, MinMaxN{}, MinMaxN{N: 3}, ProportionalN{}, ProportionalN{N: 2}}
+	var scratch Scratch // shared by every call, as the controller shares one across replans
 	f := func(seeds []uint16, totalSeed uint16) bool {
 		total := int(totalSeed%5000) + 100
 		var present []*query.Query
@@ -158,7 +159,7 @@ func TestAllocatorsProperty(t *testing.T) {
 		}
 		SortByPriority(present)
 		for _, a := range allocs {
-			grants := a.Allocate(present, total)
+			grants := a.Allocate(present, total, &scratch)
 			if len(grants) != len(present) {
 				return false
 			}

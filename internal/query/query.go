@@ -569,9 +569,12 @@ func (t *TempFile) Close() {
 // Operator executes a query against an Exec context. Start returns the
 // resumable frame running the operator; the frame's result is false when
 // the query was aborted by its deadline. Implementations must release
-// all temp files before returning either way.
+// all temp files before returning either way. Release hands the
+// per-execution state behind a finished root frame back for reuse by a
+// later Start; the caller must not touch the frame afterwards.
 type Operator interface {
 	Start(e *Exec) sim.Frame
+	Release(root sim.Frame)
 }
 
 // Launch spawns an inline process that runs op against e, binding e.P

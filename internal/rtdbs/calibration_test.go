@@ -28,7 +28,7 @@ func TestSoloExecutionMatchesStandAlone(t *testing.T) {
 	var sumSA float64
 	const n = 500
 	for i := 0; i < n; i++ {
-		q := gen.NewQuery(0, 0)
+		q := gen.NewQuery(nil, 0, 0)
 		sumSA += q.StandAlone
 	}
 	meanSA := sumSA / n

@@ -25,6 +25,8 @@ type controller struct {
 	alloc    policy.Allocator
 	present  []*query.Query
 	mplMeter *sim.TimeWeighted
+	// scratch is the allocator's working memory, reused by every replan.
+	scratch policy.Scratch
 	// waiting counts present queries with no memory grant — the
 	// admission-queue occupancy the bounded-queue door tests against.
 	waiting int
@@ -89,7 +91,7 @@ func (c *controller) Depart(q *query.Query, completed bool) {
 // first so the pool never over-commits transiently.
 func (c *controller) replan() {
 	policy.SortByPriority(c.present)
-	grants := c.alloc.Allocate(c.present, c.s.pool.Total())
+	grants := c.alloc.Allocate(c.present, c.s.pool.Total(), &c.scratch)
 	if len(grants) != len(c.present) {
 		panic(fmt.Sprintf("rtdbs: allocator %s returned %d grants for %d queries",
 			c.alloc.Name(), len(grants), len(c.present)))

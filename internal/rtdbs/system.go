@@ -45,6 +45,10 @@ type System struct {
 	joinOp *join.PPHJ
 	sortOp *extsort.Sort
 
+	// done holds the frames of queries departed since the last arrival,
+	// whose processes are dead by then; arrive recycles them.
+	done []*queryFrame
+
 	// Measurement window for PMM's probe.
 	winStart    float64
 	winCPUBusy0 float64
@@ -54,20 +58,24 @@ type System struct {
 
 // New builds a system from cfg. The same config and seed always produce
 // the same run. The system gets a private frame arena: even a one-shot
-// run allocates its processes and operator frames from slabs instead of
-// the heap (the arena dies with the system, so nothing is recycled —
-// sweep workers that want warm starts pass their own via NewWithArena).
-func New(cfg Config) (*System, error) { return NewWithArena(cfg, sim.NewArena()) }
+// run allocates its queries, processes and operator frames from slabs
+// instead of the heap, and recycles those of departed queries (the
+// arena dies with the system — sweep workers that want warm starts
+// across replicates pass their own via NewWithArena).
+func New(cfg Config) (*System, error) { return NewWithArena(cfg, nil) }
 
-// NewWithArena builds a system whose kernel allocates processes and
-// operator frames from arena a — the warm-start path sweep workers use,
-// with Arena.Reset between replicates. A nil arena is a plain New. The
-// run itself is bit-for-bit identical either way: the arena changes
+// NewWithArena builds a system whose kernel allocates queries, processes
+// and operator frames from arena a — the warm-start path sweep workers
+// use, with Arena.Reset between replicates. A nil arena is a plain New.
+// The run itself is bit-for-bit identical either way: the arena changes
 // where state lives, never what events fire.
 func NewWithArena(cfg Config, a *sim.Arena) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if a == nil {
+		a = sim.NewArena()
 	}
 	s := &System{cfg: cfg, k: sim.NewKernelIn(a)}
 	s.cpu = cpu.New(s.k, cfg.CPUMips)
@@ -280,7 +288,9 @@ type queryFrame struct {
 	sim.FrameState
 	s         *System
 	q         *query.Query
+	p         *sim.InlineProc
 	e         query.Exec
+	op        sim.Frame // the operator's root frame, once started
 	completed bool
 }
 
@@ -298,7 +308,8 @@ func (f *queryFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				continue
 			}
 			f.PC = 2
-			return m.Call(f.s.buildOperator(f.q).Start(&f.e))
+			f.op = f.s.buildOperator(f.q).Start(&f.e)
+			return m.Call(f.op)
 		case 2: // operator finished
 			f.completed = ok
 			f.PC = 3
@@ -308,9 +319,26 @@ func (f *queryFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			q.FinishTime = f.s.k.Now()
 			q.Missed = !f.completed
 			f.s.ctrl.Depart(q, f.completed)
+			f.s.done = append(f.s.done, f)
 			return m.Return(f.completed)
 		}
 	}
+}
+
+// recycle hands the records of every departed query back to the arena:
+// operator state, dead process, query and frame.
+func (s *System) recycle() {
+	a := s.k.Arena()
+	for _, f := range s.done {
+		if f.op != nil {
+			s.buildOperator(f.q).Release(f.op)
+		}
+		s.k.Release(f.p)
+		sim.FreeTo(a, f.q)
+		sim.FreeTo(a, f)
+	}
+	clear(s.done)
+	s.done = s.done[:0]
 }
 
 // arrive is the class-level admission door: every arrival is counted,
@@ -330,7 +358,8 @@ func (s *System) arrive(ci int) {
 		}
 		return
 	}
-	s.launch(s.gen.NewQuery(ci, s.k.Now()))
+	s.recycle()
+	s.launch(s.gen.NewQuery(s.k.Arena(), ci, s.k.Now()))
 }
 
 // launch starts a query process and arms its firm-deadline abort.
@@ -338,15 +367,14 @@ func (s *System) launch(q *query.Query) {
 	f := sim.AllocFrom[queryFrame](s.k.Arena())
 	f.s, f.q = s, q
 	f.e = query.Exec{Env: s.env, Q: q}
-	q.Proc = s.k.SpawnInline(fmt.Sprintf("q%d", q.ID), f)
-	f.e.P = q.Proc
+	f.p = s.k.SpawnInline(fmt.Sprintf("q%d", q.ID), f)
+	q.Proc, f.e.P = f.p, f.p
 	// The abort event deliberately fires even for queries that finish
-	// early (interrupting a dead process is a no-op): cancelling it on
-	// completion would change the executed-event trace, and the pending
-	// entry just waits in its timing-wheel bucket until its tick drains
-	// either way. A query marks itself Finished in the same turn its
-	// process dies, so the typed event is equivalent to the old
-	// Finished-guarded closure.
+	// early: cancelling it on completion would change the executed-event
+	// trace, and the pending entry just waits in its timing-wheel bucket
+	// until its tick drains either way. It interrupts a dead process, or,
+	// once recycle released the process, the kernel's dead sentinel —
+	// never a later query reusing the record — so it is a no-op.
 	s.k.AtInterrupt(q.Deadline-s.k.Now(), q.Proc)
 }
 

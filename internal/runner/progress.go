@@ -106,15 +106,12 @@ func (p *Progress) jobDone(key string, rep int, hit bool, wall time.Duration) {
 		p.simWall += wall
 	}
 	p.done++
-	stream := p.Stream != nil && (p.Every <= 0 || p.done%p.Every == 0 || p.done == p.scheduled)
-	var line string
-	if stream {
-		line = p.formatLine(key, rep, hit, wall)
+	// The line is written under p.mu: workers finish concurrently, and
+	// Stream (a bytes.Buffer, a terminal) need not be safe for that.
+	if p.Stream != nil && (p.Every <= 0 || p.done%p.Every == 0 || p.done == p.scheduled) {
+		fmt.Fprintln(p.Stream, p.formatLine(key, rep, hit, wall))
 	}
 	p.mu.Unlock()
-	if stream {
-		fmt.Fprintln(p.Stream, line)
-	}
 }
 
 // formatLine renders one completion line; callers hold p.mu.

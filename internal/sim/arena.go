@@ -4,7 +4,8 @@ import "reflect"
 
 // Arena is a per-kernel allocation region for simulation state with a
 // replicate lifetime: the kernel struct itself, inline-process frames,
-// and operator scratch. A sweep worker builds each replicate's kernel
+// and operator scratch; owners hand dead objects back early with FreeTo
+// and Kernel.Release. A sweep worker builds each replicate's kernel
 // with NewKernelIn(arena), runs it, harvests the results, and calls
 // Reset — the next replicate then starts warm, reusing every slab chunk
 // and queue backing array the previous one grew, instead of re-growing
@@ -35,16 +36,25 @@ func NewArena() *Arena { return &Arena{} }
 type resettable interface{ reset() }
 
 // Slab is a typed bump allocator: chunks of T handed out one element at
-// a time, recycled wholesale on reset. Allocation is an index increment;
-// there is no per-object free. Chunk sizes double, so n allocations cost
-// O(log n) chunk mallocs ever, and a warm slab costs none.
+// a time, recycled wholesale on reset, or one by one through Free.
+// Allocation pops the free list, else is an index increment. Chunk
+// sizes double, so n allocations cost O(log n) chunk mallocs ever, and a
+// warm slab costs none; with Free, a slab tracks its peak live count.
 type Slab[T any] struct {
 	chunks [][]T
-	ci, n  int // next free element is chunks[ci][n]
+	ci, n  int  // next free element is chunks[ci][n]
+	free   []*T // elements handed back by Free, reused first
 }
 
 // Alloc returns a pointer to a zeroed T from the slab.
 func (s *Slab[T]) Alloc() *T {
+	if i := len(s.free) - 1; i >= 0 {
+		p := s.free[i]
+		s.free = s.free[:i]
+		var zero T
+		*p = zero
+		return p
+	}
 	if s.ci == len(s.chunks) {
 		size := 8
 		if s.ci > 0 {
@@ -60,6 +70,11 @@ func (s *Slab[T]) Alloc() *T {
 	}
 	return p
 }
+
+// Free hands p, which must have come from this slab's Alloc this cycle,
+// back for reuse; the next Alloc zeroes it. The caller must drop every
+// reference to it.
+func (s *Slab[T]) Free(p *T) { s.free = append(s.free, p) }
 
 // used reports the number of elements handed out this cycle.
 func (s *Slab[T]) used() int {
@@ -88,6 +103,8 @@ func (s *Slab[T]) reset() {
 		s.chunks = s.chunks[:len(s.chunks)-1]
 	}
 	s.ci, s.n = 0, 0
+	clear(s.free)
+	s.free = s.free[:0]
 }
 
 // remaining reports the unused capacity left in the slab this cycle.
@@ -128,11 +145,19 @@ func AllocFrom[T any](a *Arena) *T {
 	return SlabFor[T](a).Alloc()
 }
 
+// FreeTo hands p, allocated by AllocFrom(a), back for reuse (see
+// Slab.Free); with a nil arena the garbage collector owns p.
+func FreeTo[T any](a *Arena, p *T) {
+	if a != nil {
+		SlabFor[T](a).Free(p)
+	}
+}
+
 // Reset recycles everything allocated since the last Reset: the live
 // kernel's queue backings are harvested (cleared, retained for the next
-// NewKernelIn), and every slab is zeroed and rewound. All pointers into
-// the arena — frames, processes, the kernel itself — are dead after
-// Reset; the caller must extract results first.
+// NewKernelIn), and every slab is zeroed and rewound, its free list
+// emptied. All pointers into the arena — frames, processes, the kernel
+// itself — are dead after Reset; the caller must extract results first.
 func (a *Arena) Reset() {
 	if k := a.kernel; k != nil {
 		clear(k.slots) // drop evClosure funcs

@@ -35,10 +35,16 @@
 // bump-allocated slabs (SlabFor, AllocFrom) that a sweep worker Resets
 // between replicates, so steady-state replicates run entirely on
 // recycled memory.  Inline-process frames and operator scratch are
-// allocated from the same arena by their owners.
+// allocated from the same arena by their owners, who hand dead objects
+// back within a replicate: FreeTo for any object, Kernel.Release for a
+// dead inline process.  A released task id points at a permanently dead
+// sentinel, so an event still addressed to it stays a no-op and never
+// reaches the record's next user, which registers under a fresh id.
 //
 // Processes block with Hold (advance local time), Park (wait for an
-// external Wake), or by queueing on a Server.  Any blocked process can be
+// external Wake), by queueing on a Server, or on a transfer a resource
+// started for them at once (StartService, ended by the resource's
+// Kernel.EndService at its completion).  Any blocked process can be
 // Interrupted — used by firm real-time deadlines to abort queries — in
 // which case the blocking call reports the interruption so the process
 // can unwind and release resources.  Each representation (goroutine

@@ -180,15 +180,6 @@ func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 	}
 }
 
-// wait queues the calling process and parks until released.
-func (g *Gate) wait(p *Proc, prio float64, data any, val float64) bool {
-	if p.takePendingInterrupt() {
-		return false
-	}
-	g.enqueue(&p.taskCore, prio, data, val)
-	return !p.park().interrupted
-}
-
 // Enqueue is the inline-process counterpart of Wait/WaitVal: it queues t
 // at the gate without blocking and reports whether the wait was entered
 // (false means a pending interrupt consumed it and nothing was queued).
@@ -211,13 +202,13 @@ func (g *Gate) Enqueue(t Task, prio float64, data any, val float64) bool {
 // interrupted during a service section begun with BeginService (the
 // service completes first).
 func (g *Gate) Wait(p *Proc, prio float64, data any) bool {
-	return g.wait(p, prio, data, 0)
+	return g.Enqueue(p, prio, data, 0) && p.Await()
 }
 
 // WaitVal is Wait with a float payload (read back via Waiting.Val); it
 // exists so hot paths need not box numeric payloads into Data.
 func (g *Gate) WaitVal(p *Proc, prio, val float64) bool {
-	return g.wait(p, prio, nil, val)
+	return g.Enqueue(p, prio, nil, val) && p.Await()
 }
 
 // Release removes w from the queue and wakes its process. It reports

@@ -95,8 +95,9 @@ func (m *Machine) Return(ok bool) Status {
 // frame. Like Spawn, the body begins executing at the current simulation
 // time, after already-scheduled events at this time; the process is dead
 // once the root frame returns. On an arena-backed kernel, the process
-// record and its frame stack come from the arena, so replicates after
-// the first spawn allocation-free.
+// record and its frame stack come from the arena — a record handed back
+// by Release first — so steady-state spawns allocate nothing. Every
+// spawn registers a fresh task id, reused record or not.
 func (k *Kernel) SpawnInline(name string, root Frame) *InlineProc {
 	var p *InlineProc
 	if a := k.arena; a != nil {
@@ -117,6 +118,33 @@ func (k *Kernel) SpawnInline(name string, root Frame) *InlineProc {
 	k.procs++
 	k.schedTurn(&p.taskCore)
 	return p
+}
+
+// deadTask is the permanently dead sentinel a released process's task
+// id points at: every event that can outlive a process is a no-op on a
+// dead task. Nothing ever writes to it.
+var deadTask = taskCore{state: procDead}
+
+// Release hands p, a dead inline process, and its frame stack back to
+// the kernel's arena for a later SpawnInline; the owner must drop every
+// reference to p. Its task id is re-pointed at a dead sentinel, so an
+// event still addressed to it (a deadline abort left pending) stays a
+// no-op and never reaches the record's next user. Releasing a live
+// process, or one twice, panics.
+func (k *Kernel) Release(p *InlineProc) {
+	if p.state != procDead {
+		panic("sim: release of a live process")
+	}
+	if k.tasks[p.tid] != &p.taskCore {
+		panic("sim: process released twice or by a foreign kernel")
+	}
+	k.tasks[p.tid] = &deadTask
+	if a := k.arena; a != nil {
+		if cap(p.m.stack) == 8 { // the arena's stack, not grown onto the heap
+			SlabFor[[8]Frame](a).Free((*[8]Frame)(p.m.stack[:8]))
+		}
+		SlabFor[InlineProc](a).Free(p)
+	}
 }
 
 // runTurn executes one turn of the state machine: it steps frames until

@@ -208,8 +208,9 @@ type Kernel struct {
 	// spawn / construction) and addressed by index from event slots, so
 	// typed events store no pointers. Task ids are never recycled — late
 	// events (deadline aborts) may outlive their process, and an id reuse
-	// would mis-target them — but a kernel only ever registers as many
-	// tasks as it spawns processes, so growth is bounded and tiny.
+	// would mis-target them; Release re-points a released process's id
+	// at the dead sentinel instead. The registry grows by one word per
+	// spawn.
 	tasks []*taskCore
 	comps []Completer
 
@@ -275,7 +276,9 @@ func (k *Kernel) SetSink(s trace.Sink) {
 	k.sink = s
 	if s != nil {
 		for _, c := range k.tasks {
-			s.TaskName(c.tid, c.name)
+			if c != &deadTask {
+				s.TaskName(c.tid, c.name)
+			}
 		}
 	}
 }
@@ -513,6 +516,17 @@ func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
 	id, s, seq := k.newSlot(evInterrupt, t.core().tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
+}
+
+// EndService resumes task tid from its service wait on completer comp
+// (Task.StartService). It is a no-op when the task no longer waits on
+// comp: interrupted, dead, or released (tid then names the sentinel).
+func (k *Kernel) EndService(tid, comp int32) {
+	c := k.tasks[tid]
+	if c.state == procParked && c.cancel == cancelService && c.holdID == comp {
+		c.cancel = cancelNone
+		c.deliverWake(false)
+	}
 }
 
 // AtComplete schedules a service completion: after delay, the completer

@@ -76,18 +76,13 @@ func (p *Proc) park() outcome {
 
 // Hold suspends the process for dt simulated seconds. It returns false
 // if the process was interrupted before the time elapsed.
-func (p *Proc) Hold(dt float64) (ok bool) {
-	if !p.StartHold(dt) {
-		return false
-	}
-	return !p.park().interrupted
-}
+func (p *Proc) Hold(dt float64) (ok bool) { return p.StartHold(dt) && p.Await() }
+
+// Await blocks until the wait just entered by a Start* primitive (one
+// that reported true) ends. It returns false if the wait was
+// interrupted.
+func (p *Proc) Await() (ok bool) { return !p.park().interrupted }
 
 // Park blocks until another component calls Wake or Interrupt.
 // It returns false if woken by Interrupt.
-func (p *Proc) Park() (ok bool) {
-	if !p.StartPark() {
-		return false
-	}
-	return !p.park().interrupted
-}
+func (p *Proc) Park() (ok bool) { return p.StartPark() && p.Await() }

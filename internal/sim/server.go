@@ -61,10 +61,7 @@ func (s *Server) QueueLen() int { return s.gate.Len() }
 // consumed) or during it (service completed, then the interruption is
 // reported).
 func (s *Server) Use(p *Proc, prio float64, service float64) bool {
-	if !s.StartUse(p, prio, service) {
-		return false
-	}
-	return !p.park().interrupted
+	return s.StartUse(p, prio, service) && p.Await()
 }
 
 // StartUse is the inline-process counterpart of Use: it enters the

@@ -51,6 +51,10 @@ const (
 	// of wait that Wake may resume; Wake must never tear a process out
 	// of a timer or a scheduler queue.
 	cancelPlain
+	// cancelService: the wait is a transfer started at once on an idle
+	// resource (StartService), ended by its Kernel.EndService. Cancelling
+	// only resumes the process; the transfer runs on.
+	cancelService
 )
 
 // outcome is what a wake delivers to a parked process.
@@ -98,6 +102,13 @@ type Task interface {
 	// means a pending interrupt consumed it. The caller must park
 	// immediately on true, exactly as for StartHold.
 	StartPark() bool
+	// StartService arms a wait for a transfer the completer comp has
+	// just started for this task, ended by Kernel.EndService; Interrupt
+	// resumes the task at once. Same park-on-true contract as StartHold.
+	StartService(comp int32) bool
+	// ID returns the task's kernel-local id, the handle a resource keeps
+	// instead of the task (see Kernel.EndService).
+	ID() int32
 
 	// core exposes the shared scheduling state; it also closes the
 	// interface to this package's implementations.
@@ -126,7 +137,8 @@ type taskCore struct {
 	cancel cancelKind
 	// holdID/holdSeq identify the pending wake event of the current hold
 	// (cancelTimer): a pointer-free handle, so arming a hold stores no
-	// pointer and crosses no write barrier.
+	// pointer and crosses no write barrier. Under cancelService, holdID
+	// is the serving completer's id.
 	holdID  int32
 	holdSeq uint64
 	// wait is the process's gate queue entry, embedded so queueing never
@@ -153,6 +165,9 @@ func (c *taskCore) Now() float64 { return c.k.now }
 
 // Dead reports whether the process body has finished.
 func (c *taskCore) Dead() bool { return c.state == procDead }
+
+// ID returns the task's kernel-local id; see Task.ID.
+func (c *taskCore) ID() int32 { return c.tid }
 
 // takePendingInterrupt consumes a deferred interrupt, if any.
 func (c *taskCore) takePendingInterrupt() bool {
@@ -203,6 +218,17 @@ func (c *taskCore) StartPark() bool {
 	return true
 }
 
+// StartService arms the wait for an in-service transfer; see
+// Task.StartService.
+func (c *taskCore) StartService(comp int32) bool {
+	if c.takePendingInterrupt() {
+		return false
+	}
+	c.holdID = comp
+	c.cancel = cancelService
+	return true
+}
+
 // Wake resumes a process blocked in a plain park; see Task.Wake.
 func (c *taskCore) Wake() {
 	if c.state == procParked && c.cancel == cancelPlain {
@@ -226,7 +252,7 @@ func (c *taskCore) Interrupt() {
 			c.cancel = cancelNone
 			c.wait.gate.remove(&c.wait)
 			c.deliverWake(true)
-		case cancelPlain:
+		case cancelPlain, cancelService:
 			c.cancel = cancelNone
 			c.deliverWake(true)
 		}

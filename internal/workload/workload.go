@@ -275,11 +275,13 @@ func (g *Generator) InterArrival(class int, rate float64) float64 {
 	return sim.Exp(g.arr[class], 1/rate)
 }
 
-// NewQuery creates the next query of a class arriving at time now.
-func (g *Generator) NewQuery(class int, now float64) *query.Query {
+// NewQuery creates the next query of a class arriving at time now, its
+// record allocated from arena a (sim.AllocFrom).
+func (g *Generator) NewQuery(a *sim.Arena, class int, now float64) *query.Query {
 	cl := g.classes[class]
 	g.nextID++
-	q := &query.Query{
+	q := sim.AllocFrom[query.Query](a)
+	*q = query.Query{
 		ID:        g.nextID,
 		Class:     class,
 		ClassName: cl.Name,

@@ -47,7 +47,7 @@ func sortClass() ClassSpec {
 func TestJoinQueryShape(t *testing.T) {
 	g := newGen(t, []ClassSpec{joinClass()})
 	for i := 0; i < 200; i++ {
-		q := g.NewQuery(0, 100)
+		q := g.NewQuery(nil, 0, 100)
 		if q.R.Pages > q.S.Pages {
 			t.Fatal("inner relation larger than outer")
 		}
@@ -73,7 +73,7 @@ func TestAverageMaxDemandMatchesPaper(t *testing.T) {
 	var sum float64
 	const n = 4000
 	for i := 0; i < n; i++ {
-		sum += float64(g.NewQuery(0, 0).MaxMem)
+		sum += float64(g.NewQuery(nil, 0, 0).MaxMem)
 	}
 	if avg := sum / n; avg < 1250 || avg > 1400 {
 		t.Fatalf("average max demand %.0f, paper says ≈1321", avg)
@@ -100,7 +100,7 @@ func TestJoinStandAloneAnchor(t *testing.T) {
 
 func TestSortQueryShape(t *testing.T) {
 	g := newGen(t, []ClassSpec{sortClass()})
-	q := g.NewQuery(0, 0)
+	q := g.NewQuery(nil, 0, 0)
 	if q.S != nil {
 		t.Fatal("sort has an outer relation")
 	}
@@ -147,9 +147,9 @@ func TestGeneratorValidation(t *testing.T) {
 
 func TestDistinctSeedsDistinctStreams(t *testing.T) {
 	g1 := newGen(t, []ClassSpec{joinClass()})
-	q1 := g1.NewQuery(0, 0)
+	q1 := g1.NewQuery(nil, 0, 0)
 	g2 := newGen(t, []ClassSpec{joinClass()})
-	q2 := g2.NewQuery(0, 0)
+	q2 := g2.NewQuery(nil, 0, 0)
 	// Same seed ⇒ identical first query.
 	if q1.R.Pages != q2.R.Pages || q1.SlackRatio != q2.SlackRatio {
 		t.Fatal("equal seeds should replay identically")

@@ -1,6 +1,7 @@
 package pmm_test
 
 import (
+	"runtime"
 	"testing"
 
 	"pmm"
@@ -67,6 +68,36 @@ func TestEveryPresetRunsDeterministically(t *testing.T) {
 				t.Errorf("preset %s is nondeterministic: %+v vs %+v", name, a, b)
 			}
 		})
+	}
+}
+
+// TestOverloadHeapBytesPerQuery gates the allocation-free query
+// lifecycle: a simulated hour of the overload preset — tens of
+// thousands of short queries — may allocate at most 512 heap bytes per
+// terminated query, set-up included. What remains is the growth of the
+// per-termination result log and the task registry, process names and
+// spool temp files; the other per-query records are recycled.
+func TestOverloadHeapBytesPerQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	for _, kind := range []pmm.PolicyKind{pmm.PolicyMinMax, pmm.PolicyPMM} {
+		cfg := pmm.OverloadConfig(0)
+		cfg.Duration = 3600
+		cfg.Policy = pmm.PolicyConfig{Kind: kind}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r, err := pmm.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Terminated)
+		t.Logf("%s: %d terminated, %.0f heap bytes per query", r.Policy, r.Terminated, perQuery)
+		if perQuery > 512 {
+			t.Errorf("%s: %.0f heap bytes per terminated query, want at most 512", r.Policy, perQuery)
+		}
 	}
 }
 
