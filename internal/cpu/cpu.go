@@ -59,16 +59,14 @@ func (c *CPU) Seconds(instructions float64) float64 {
 // arrives at its next step. entered=false means the call finished
 // immediately with result ok — either a zero-instruction burst
 // (ok=true) or a pending interrupt that consumed the wait (ok=false).
-// The goroutine-process counterpart, Run, is test-only (see
-// proc_compat_test.go).
-func (c *CPU) StartRun(t sim.Task, prio float64, instructions float64) (entered, ok bool) {
+func (c *CPU) StartRun(p *sim.Proc, prio float64, instructions float64) (entered, ok bool) {
 	if instructions < 0 {
 		panic(fmt.Sprintf("cpu: negative instruction count %g", instructions))
 	}
 	if instructions == 0 {
 		return false, true
 	}
-	return c.server.StartUse(t, prio, c.Seconds(instructions)), false
+	return c.server.StartUse(p, prio, c.Seconds(instructions)), false
 }
 
 // Meter exposes busy-time accounting for utilization measurements.

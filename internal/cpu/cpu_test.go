@@ -18,12 +18,35 @@ func TestSecondsConversion(t *testing.T) {
 	}
 }
 
+// spawnRun spawns a process that runs one CPU burst of instructions at
+// prio and then calls done, if set, with the burst's outcome.
+func spawnRun(k *sim.Kernel, c *CPU, name string, prio, instructions float64, done func(p *sim.Proc, ok bool)) *sim.Proc {
+	var p *sim.Proc
+	finish := func(m *sim.Machine, ok bool) sim.Status {
+		if done != nil {
+			done(p, ok)
+		}
+		return m.Return(ok)
+	}
+	p = k.Spawn(name, &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+		func(m *sim.Machine, _ bool) sim.Status {
+			entered, ok := c.StartRun(p, prio, instructions)
+			if entered {
+				return sim.Park
+			}
+			return finish(m, ok)
+		},
+		finish,
+	}})
+	return p
+}
+
 func TestRunConsumesTime(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
 	var done float64
-	k.Spawn("worker", func(p *sim.Proc) {
-		if !c.Run(p, 1, 80e6) {
+	spawnRun(k, c, "worker", 1, 80e6, func(p *sim.Proc, ok bool) {
+		if !ok {
 			t.Error("unexpected interrupt")
 		}
 		done = p.Now()
@@ -40,8 +63,10 @@ func TestRunConsumesTime(t *testing.T) {
 func TestZeroInstructionsFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
-	k.Spawn("worker", func(p *sim.Proc) {
-		if !c.Run(p, 1, 0) {
+	ran := false
+	spawnRun(k, c, "worker", 1, 0, func(p *sim.Proc, ok bool) {
+		ran = true
+		if !ok {
 			t.Error("zero-cost run failed")
 		}
 		if p.Now() != 0 {
@@ -49,22 +74,22 @@ func TestZeroInstructionsFree(t *testing.T) {
 		}
 	})
 	k.Drain()
+	if !ran {
+		t.Fatal("zero-cost run never finished")
+	}
+	if k.Steps() != 1 {
+		t.Fatalf("zero-cost run took %d kernel steps, want 1 (no wait)", k.Steps())
+	}
 }
 
 func TestEDOrderOnCPU(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 1)
 	var order []string
-	k.Spawn("first", func(p *sim.Proc) { c.Run(p, 0, 5e6) })
+	spawnRun(k, c, "first", 0, 5e6, nil)
 	k.At(1, func() {
-		k.Spawn("late-deadline", func(p *sim.Proc) {
-			c.Run(p, 100, 1e6)
-			order = append(order, "late")
-		})
-		k.Spawn("early-deadline", func(p *sim.Proc) {
-			c.Run(p, 10, 1e6)
-			order = append(order, "early")
-		})
+		spawnRun(k, c, "late-deadline", 100, 1e6, func(*sim.Proc, bool) { order = append(order, "late") })
+		spawnRun(k, c, "early-deadline", 10, 1e6, func(*sim.Proc, bool) { order = append(order, "early") })
 	})
 	k.Drain()
 	if len(order) != 2 || order[0] != "early" {
@@ -75,15 +100,12 @@ func TestEDOrderOnCPU(t *testing.T) {
 func TestNegativeInstructionsPanics(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
-	k.Spawn("worker", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative instruction count did not panic")
-			}
-		}()
-		c.Run(p, 1, -5)
-	})
-	defer func() { recover() }() // the kernel re-raises the proc panic
+	spawnRun(k, c, "worker", 1, -5, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative instruction count did not panic")
+		}
+	}()
 	k.Drain()
 }
 

@@ -253,11 +253,9 @@ func (d *Disk) clamp(req *Request) {
 // still completes on the disk's timeline, exactly like an interrupt
 // arriving mid-transfer. On true the caller must park immediately; the
 // completion outcome (false iff interrupted) arrives at its next step.
-// The goroutine-process counterparts, Access and AccessSeq, are
-// test-only (see proc_compat_test.go).
-func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *Request) bool {
+func (d *Disk) StartAccess(p *sim.Proc, prio float64, cylinder, pages int, req *Request) bool {
 	*req = Request{cylinder: cylinder, pages: pages, prio: prio}
-	return d.start(t, prio, req)
+	return d.start(p, prio, req)
 }
 
 // StartAccessSeq is the sequential counterpart of StartAccess: page
@@ -266,14 +264,14 @@ func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *R
 // positioned the data); otherwise it pays the full seek and rotational
 // delay and starts a new tracked stream. Same caller-owned scratch
 // record contract as StartAccess.
-func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) bool {
+func (d *Disk) StartAccessSeq(p *sim.Proc, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) bool {
 	*req = Request{
 		cylinder: cylinder, pages: pages, prio: prio, file: file, page: fromPage,
 	}
-	return d.start(t, prio, req)
+	return d.start(p, prio, req)
 }
 
-func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
+func (d *Disk) start(p *sim.Proc, prio float64, req *Request) bool {
 	d.clamp(req)
 	if !d.busy {
 		// Idle disk: serve immediately; the completion wakes the caller
@@ -284,12 +282,12 @@ func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
 		d.meter.SetBusy(true)
 		service := d.serviceTime(req)
 		d.k.AtComplete(service, d.compID, true)
-		d.waiter = t.ID()
-		return t.StartService(d.compID)
+		d.waiter = p.ID()
+		return p.StartService(d.compID)
 	}
 	// Queued: the scratch record backs the queue entry until dispatch
 	// reads its service parameters or an interrupt unlinks the entry.
-	return d.gate.Enqueue(t, prio, req, 0)
+	return d.gate.Enqueue(p, prio, req, 0)
 }
 
 // maxStreams is how many concurrent sequential streams the 256 KB cache

@@ -42,16 +42,67 @@ func TestTransferRate(t *testing.T) {
 	}
 }
 
+// access is one request of a test reader: non-sequential when file is
+// 0, else page `page` of stream `file`.
+type access struct {
+	d          *Disk
+	prio       float64
+	cyl, pages int
+	file       int64
+	page       int
+}
+
+// readerFrame issues its accesses one after another, calling done, if
+// set, with each access's index and outcome as it finishes.
+type readerFrame struct {
+	sim.FrameState
+	p    *sim.Proc
+	reqs []access
+	req  Request
+	done func(p *sim.Proc, i int, ok bool)
+}
+
+func (f *readerFrame) Step(m *sim.Machine, ok bool) sim.Status {
+	for {
+		i := int(f.PC)
+		if i > 0 && f.done != nil {
+			f.done(f.p, i-1, ok)
+		}
+		if i == len(f.reqs) {
+			return m.Return(ok)
+		}
+		f.PC++
+		a := f.reqs[i]
+		var entered bool
+		if a.file != 0 {
+			entered = a.d.StartAccessSeq(f.p, a.prio, a.cyl, a.pages, a.file, a.page, &f.req)
+		} else {
+			entered = a.d.StartAccess(f.p, a.prio, a.cyl, a.pages, &f.req)
+		}
+		if entered {
+			return sim.Park
+		}
+		ok = false
+	}
+}
+
+// spawnReader spawns a process issuing reqs in order; see readerFrame.
+func spawnReader(k *sim.Kernel, name string, done func(p *sim.Proc, i int, ok bool), reqs ...access) *sim.Proc {
+	f := &readerFrame{reqs: reqs, done: done}
+	f.p = k.Spawn(name, f)
+	return f.p
+}
+
 func TestAccessTakesTime(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	var done float64
-	k.Spawn("reader", func(p *sim.Proc) {
-		if !d.Access(p, 1, 700, 6) {
+	spawnReader(k, "reader", func(p *sim.Proc, _ int, ok bool) {
+		if !ok {
 			t.Error("access interrupted unexpectedly")
 		}
 		done = p.Now()
-	})
+	}, access{d: d, prio: 1, cyl: 700, pages: 6})
 	k.Drain()
 	min := DefaultParams().TransferTime(6)
 	if done < min {
@@ -69,20 +120,14 @@ func TestEDPriorityOrder(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	var order []string
+	mark := func(name string) func(*sim.Proc, int, bool) {
+		return func(*sim.Proc, int, bool) { order = append(order, name) }
+	}
 	// Occupy the disk, then queue low before high; high must win.
-	k.Spawn("first", func(p *sim.Proc) {
-		d.Access(p, 0, 750, 6)
-		order = append(order, "first")
-	})
+	spawnReader(k, "first", mark("first"), access{d: d, prio: 0, cyl: 750, pages: 6})
 	k.At(0.001, func() {
-		k.Spawn("low", func(p *sim.Proc) {
-			d.Access(p, 9, 700, 6)
-			order = append(order, "low")
-		})
-		k.Spawn("high", func(p *sim.Proc) {
-			d.Access(p, 1, 800, 6)
-			order = append(order, "high")
-		})
+		spawnReader(k, "low", mark("low"), access{d: d, prio: 9, cyl: 700, pages: 6})
+		spawnReader(k, "high", mark("high"), access{d: d, prio: 1, cyl: 800, pages: 6})
 	})
 	k.Drain()
 	if len(order) != 3 || order[1] != "high" || order[2] != "low" {
@@ -97,18 +142,18 @@ func TestElevatorTieBreak(t *testing.T) {
 	// Head starts at 750 ascending. Queue equal-priority requests at
 	// cylinders 760, 740, 790 while the disk is busy; the elevator should
 	// serve 760, then 790 (continuing up), then 740.
-	k.Spawn("first", func(p *sim.Proc) { d.Access(p, 0, 755, 6) })
+	spawnReader(k, "first", nil, access{d: d, prio: 0, cyl: 755, pages: 6})
 	k.At(0.0001, func() {
 		for _, cyl := range []int{790, 740, 760} {
-			cyl := cyl
-			k.Spawn("tie", func(p *sim.Proc) {
-				d.Access(p, 5, cyl, 6)
-				order = append(order, cyl)
-			})
+			spawnReader(k, "tie", func(*sim.Proc, int, bool) { order = append(order, cyl) },
+				access{d: d, prio: 5, cyl: cyl, pages: 6})
 		}
 	})
 	k.Drain()
 	want := []int{760, 790, 740}
+	if len(order) != len(want) {
+		t.Fatalf("elevator order %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("elevator order %v, want %v", order, want)
@@ -119,19 +164,22 @@ func TestElevatorTieBreak(t *testing.T) {
 func TestSequentialStreamFasterThanRandom(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
+	var reqs []access
+	for i := 0; i < 50; i++ {
+		reqs = append(reqs, access{d: d, prio: 1, cyl: 700, pages: 6, file: 7, page: i * 6})
+	}
+	for i := 0; i < 50; i++ {
+		reqs = append(reqs, access{d: d, prio: 1, cyl: 700 + i%3, pages: 6})
+	}
 	var streamTime, randomTime float64
-	k.Spawn("stream", func(p *sim.Proc) {
-		start := p.Now()
-		for i := 0; i < 50; i++ {
-			d.AccessSeq(p, 1, 700, 6, 7, i*6)
+	spawnReader(k, "stream", func(p *sim.Proc, i int, _ bool) {
+		switch i {
+		case 49: // the reader started at t=0
+			streamTime = p.Now()
+		case 99:
+			randomTime = p.Now() - streamTime
 		}
-		streamTime = p.Now() - start
-		start = p.Now()
-		for i := 0; i < 50; i++ {
-			d.Access(p, 1, 700+i%3, 6)
-		}
-		randomTime = p.Now() - start
-	})
+	}, reqs...)
 	k.Drain()
 	// After the first block, every streamed access costs pure transfer.
 	wantStream := 49*DefaultParams().TransferTime(6) + DefaultParams().MeanAccessTime(0, 6) + DefaultParams().RotationTime/2
@@ -146,17 +194,23 @@ func TestSequentialStreamFasterThanRandom(t *testing.T) {
 	}
 }
 
+// interleaved returns round-robin sequential accesses over streams
+// 1..files, rounds blocks each.
+func interleaved(d *Disk, files int64, rounds int) []access {
+	var reqs []access
+	for i := 0; i < rounds; i++ {
+		for f := int64(1); f <= files; f++ {
+			reqs = append(reqs, access{d: d, prio: 1, cyl: 700, pages: 6, file: f, page: i * 6})
+		}
+	}
+	return reqs
+}
+
 func TestStreamThrashWithManyStreams(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	// Three interleaved streams exceed the cache's two slots: hits drop.
-	k.Spawn("thrash", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			for f := int64(1); f <= 3; f++ {
-				d.AccessSeq(p, 1, 700, 6, f, i*6)
-			}
-		}
-	})
+	spawnReader(k, "thrash", nil, interleaved(d, 3, 30)...)
 	k.Drain()
 	if d.SeqHits() > 10 {
 		t.Fatalf("three-way interleave should thrash the cache; hits = %d", d.SeqHits())
@@ -166,13 +220,7 @@ func TestStreamThrashWithManyStreams(t *testing.T) {
 func TestTwoStreamsBothHit(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
-	k.Spawn("dual", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			for f := int64(1); f <= 2; f++ {
-				d.AccessSeq(p, 1, 700, 6, f, i*6)
-			}
-		}
-	})
+	spawnReader(k, "dual", nil, interleaved(d, 2, 30)...)
 	k.Drain()
 	if d.SeqHits() < 50 {
 		t.Fatalf("two interleaved streams should both hit; hits = %d", d.SeqHits())
@@ -182,12 +230,10 @@ func TestTwoStreamsBothHit(t *testing.T) {
 func TestInterruptWhileQueued(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
-	k.Spawn("occupier", func(p *sim.Proc) { d.Access(p, 0, 700, 90) })
+	spawnReader(k, "occupier", nil, access{d: d, prio: 0, cyl: 700, pages: 90})
 	var got *bool
-	victim := k.Spawn("victim", func(p *sim.Proc) {
-		ok := d.Access(p, 1, 710, 6)
-		got = &ok
-	})
+	victim := spawnReader(k, "victim", func(_ *sim.Proc, _ int, ok bool) { got = &ok },
+		access{d: d, prio: 1, cyl: 710, pages: 6})
 	k.At(0.001, func() { victim.Interrupt() })
 	k.Drain()
 	if got == nil || *got {
@@ -202,14 +248,15 @@ func TestInterruptWhileQueued(t *testing.T) {
 func TestInterruptMidTransferResumesAtOnce(t *testing.T) {
 	k, m := newTestManager(t, 2, 100)
 	d0, d1 := m.Disk(0), m.Disk(1)
-	var first, second bool
+	first, second := true, false
 	var interruptedAt, doneAt float64
-	reader := k.Spawn("reader", func(p *sim.Proc) {
-		first = d0.Access(p, 0, 700, 30)
-		interruptedAt = p.Now()
-		second = d1.Access(p, 0, 700, 90)
-		doneAt = p.Now()
-	})
+	reader := spawnReader(k, "reader", func(p *sim.Proc, i int, ok bool) {
+		if i == 0 {
+			first, interruptedAt = ok, p.Now()
+		} else {
+			second, doneAt = ok, p.Now()
+		}
+	}, access{d: d0, prio: 0, cyl: 700, pages: 30}, access{d: d1, prio: 0, cyl: 700, pages: 90})
 	k.At(0.001, func() { reader.Interrupt() })
 	k.Drain()
 	if first || interruptedAt != 0.001 {
@@ -225,9 +272,7 @@ func TestInterruptMidTransferResumesAtOnce(t *testing.T) {
 
 func TestUtilizationWindows(t *testing.T) {
 	k, m := newTestManager(t, 2, 100)
-	k.Spawn("user", func(p *sim.Proc) {
-		m.Disk(0).Access(p, 1, 700, 6)
-	})
+	spawnReader(k, "user", nil, access{d: m.Disk(0), prio: 1, cyl: 700, pages: 6})
 	k.Run(10)
 	zero := []float64{0, 0}
 	if m.MaxUtilization(0, zero) <= 0 {

@@ -17,10 +17,10 @@
 // only distinguishes how many partitions are expanded — an exact model of
 // the symmetric case that keeps per-block work O(1).
 //
-// The operator runs on the kernel's inline process representation: each
-// phase of the original blocking implementation is a resumable frame
-// (program counter + locals promoted to fields), stepping through the
-// identical sequence of CPU bursts, disk transfers and memory waits.
+// The operator runs as a kernel process: each phase of the original
+// blocking implementation is a resumable frame (program counter + locals
+// promoted to fields), stepping through the identical sequence of CPU
+// bursts, disk transfers and memory waits.
 package join
 
 import (

@@ -179,8 +179,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects impossible configurations early.
-func (c Config) validate() error {
+// Validate rejects impossible configurations. It checks the config as
+// given, before defaults apply: zero selects a field's default, while a
+// negative (or NaN) value is an error, never a silent default. New,
+// Simulate and the sweep runner all call it first.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Duration", c.Duration},
+		{"CPUMips", c.CPUMips},
+		{"MemoryPages", float64(c.MemoryPages)},
+		{"FudgeFactor", c.FudgeFactor},
+		{"TuplesPerPage", float64(c.TuplesPerPage)},
+		{"Disk.NumDisks", float64(c.Disk.NumDisks)},
+		{"Disk.SeekFactorMS", c.Disk.SeekFactorMS},
+		{"Disk.RotationTime", c.Disk.RotationTime},
+		{"Disk.NumCylinders", float64(c.Disk.NumCylinders)},
+		{"Disk.CylinderSize", float64(c.Disk.CylinderSize)},
+		{"Disk.PagesPerTrack", float64(c.Disk.PagesPerTrack)},
+		{"Disk.BlockSize", float64(c.Disk.BlockSize)},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("rtdbs: %s is %g; want ≥ 0 (0 selects the default)", f.name, f.v)
+		}
+	}
 	if len(c.Groups) == 0 {
 		return fmt.Errorf("rtdbs: no relation groups")
 	}

@@ -106,10 +106,10 @@ type shardedRun struct {
 // construction order is the cell ID order, so the whole topology is a
 // pure function of the canonical config.
 func newSharded(cfg Config) (*shardedRun, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	r := &shardedRun{cfg: cfg, budget: cfg.Tenants * cfg.MemoryPages}
 	for i := 0; i < cfg.Tenants; i++ {
 		cc := cfg

@@ -70,10 +70,10 @@ func New(cfg Config) (*System, error) { return NewWithArena(cfg, nil) }
 // The run itself is bit-for-bit identical either way: the arena changes
 // where state lives, never what events fire.
 func NewWithArena(cfg Config, a *sim.Arena) (*System, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	if a == nil {
 		a = sim.NewArena()
 	}
@@ -175,7 +175,7 @@ func (s *System) rateAndBoundary(class int, t float64) (rate, boundary float64) 
 type sourceFrame struct {
 	sim.FrameState
 	s  *System
-	p  sim.Task
+	p  *sim.Proc
 	ci int
 }
 
@@ -236,7 +236,7 @@ func (f *sourceFrame) Step(m *sim.Machine, ok bool) sim.Status {
 type batchedSourceFrame struct {
 	sim.FrameState
 	s   *System
-	p   sim.Task
+	p   *sim.Proc
 	src *workload.ArrivalSource
 	ci  int
 }
@@ -272,12 +272,12 @@ func (s *System) startSources() {
 			f := sim.AllocFrom[batchedSourceFrame](s.k.Arena())
 			f.s, f.ci, f.src = s, ci, s.gen.Source(ci)
 			s.srcs[ci] = f.src
-			f.p = s.k.SpawnInline(name, f)
+			f.p = s.k.Spawn(name, f)
 			continue
 		}
 		f := sim.AllocFrom[sourceFrame](s.k.Arena())
 		f.s, f.ci = s, ci
-		f.p = s.k.SpawnInline(name, f)
+		f.p = s.k.Spawn(name, f)
 	}
 }
 
@@ -288,7 +288,7 @@ type queryFrame struct {
 	sim.FrameState
 	s         *System
 	q         *query.Query
-	p         *sim.InlineProc
+	p         *sim.Proc
 	e         query.Exec
 	op        sim.Frame // the operator's root frame, once started
 	completed bool
@@ -367,7 +367,7 @@ func (s *System) launch(q *query.Query) {
 	f := sim.AllocFrom[queryFrame](s.k.Arena())
 	f.s, f.q = s, q
 	f.e = query.Exec{Env: s.env, Q: q}
-	f.p = s.k.SpawnInline(fmt.Sprintf("q%d", q.ID), f)
+	f.p = s.k.Spawn(fmt.Sprintf("q%d", q.ID), f)
 	q.Proc, f.e.P = f.p, f.p
 	// The abort event deliberately fires even for queries that finish
 	// early: cancelling it on completion would change the executed-event

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -348,5 +349,61 @@ func TestSweepSurvivesBrokenStore(t *testing.T) {
 	}
 	if st := store.Stats(); st.PutErrors != 3 || st.Puts != 0 {
 		t.Fatalf("put failures not counted: %+v", st)
+	}
+}
+
+// TestSweepRejectsNegativeConfigOnWarmStore: a config with a negative
+// defaulted field canonicalizes onto its default's store key, so a warm
+// store would serve it as if it were valid. The sweep must reject it
+// before consulting the store — one row per field.
+func TestSweepRejectsNegativeConfigOnWarmStore(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	base := synthBase()
+	base.Duration = 0 // the default, so a negative duration shares its key
+	var calls atomic.Int64
+	spec := func(cfg rtdbs.Config) Spec {
+		return Spec{
+			Base:     cfg,
+			Reps:     1,
+			Workers:  1,
+			Cache:    store,
+			simulate: synthSim(func(rtdbs.PolicyKind) float64 { return 0.3 }, 0, &calls),
+		}
+	}
+	if _, err := Run(spec(base)); err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		field string
+		set   func(*rtdbs.Config)
+	}{
+		{"Duration", func(c *rtdbs.Config) { c.Duration = -3600 }},
+		{"CPUMips", func(c *rtdbs.Config) { c.CPUMips = -40 }},
+		{"MemoryPages", func(c *rtdbs.Config) { c.MemoryPages = -1 }},
+		{"FudgeFactor", func(c *rtdbs.Config) { c.FudgeFactor = -1.1 }},
+		{"TuplesPerPage", func(c *rtdbs.Config) { c.TuplesPerPage = -40 }},
+		{"Disk.NumDisks", func(c *rtdbs.Config) { c.Disk.NumDisks = -10 }},
+		{"Disk.SeekFactorMS", func(c *rtdbs.Config) { c.Disk.SeekFactorMS = -0.617 }},
+		{"Disk.RotationTime", func(c *rtdbs.Config) { c.Disk.RotationTime = -0.0167 }},
+		{"Disk.NumCylinders", func(c *rtdbs.Config) { c.Disk.NumCylinders = -1500 }},
+		{"Disk.CylinderSize", func(c *rtdbs.Config) { c.Disk.CylinderSize = -90 }},
+		{"Disk.PagesPerTrack", func(c *rtdbs.Config) { c.Disk.PagesPerTrack = -4 }},
+		{"Disk.BlockSize", func(c *rtdbs.Config) { c.Disk.BlockSize = -6 }},
+	}
+	for _, row := range rows {
+		cfg := cloneConfig(base)
+		row.set(&cfg)
+		if _, err := Run(spec(cfg)); err == nil {
+			t.Errorf("%s < 0: sweep accepted the config", row.field)
+		} else if !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s < 0: error %q does not name the field", row.field, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("simulated %d times, want 1 (the warm-up run only)", n)
 	}
 }

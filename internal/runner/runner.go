@@ -224,6 +224,14 @@ func (s Spec) expand() []Point {
 func Run(s Spec) ([]PointResult, error) {
 	s = s.withDefaults()
 	points := s.expand()
+	// Validate before any job runs: Canonical maps a config with a
+	// negative field onto its default's store key, so a warm store
+	// would otherwise serve it.
+	for _, p := range points {
+		if err := p.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("runner: point %s: %w", p.Key, err)
+		}
+	}
 	results := make([]PointResult, len(points))
 	for i := range results {
 		results[i] = PointResult{Point: points[i]}

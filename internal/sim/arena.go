@@ -24,7 +24,7 @@ type Arena struct {
 	laneBuf []laneItem
 	curBuf  []heapItem
 	farBuf  []heapItem
-	taskBuf []*taskCore
+	taskBuf []*Proc
 	compBuf []Completer
 }
 

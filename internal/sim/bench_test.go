@@ -99,43 +99,13 @@ func BenchmarkKernelZeroDelay(b *testing.B) {
 	}
 }
 
-// BenchmarkHoldWake measures the process handoff cycle: a Hold (timer
-// park + timed wake), then a Park ended by an external Wake.
-func BenchmarkHoldWake(b *testing.B) {
-	k := NewKernel()
-	p := k.Spawn("holdwake", func(p *Proc) {
-		for {
-			if !p.Hold(1) {
-				return
-			}
-			if !p.Park() {
-				return
-			}
-		}
-	})
-	k.Step() // spawn turn: proc runs and parks in Hold
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake scheduled
-		k.Step() // proc resumes, blocks in Park
-		p.Wake()
-		k.Step() // proc resumes, blocks in Hold again
-	}
-	b.StopTimer()
-	p.Interrupt()
-	k.Drain()
-}
-
-// BenchmarkInlineHoldWake is the inline-process equivalent of
-// BenchmarkHoldWake: the identical hold/park/wake cycle expressed as a
-// resumable frame the kernel steps directly, with no goroutine handoffs.
-// The gap between the two benchmarks is the per-turn cost of the
-// goroutine representation's two channel handoffs.
+// BenchmarkInlineHoldWake measures the process turn cycle: a hold
+// (timer park + timed wake), then a park ended by an external Wake,
+// expressed as a resumable frame the kernel steps directly.
 func BenchmarkInlineHoldWake(b *testing.B) {
 	k := NewKernel()
 	f := &holdWakeFrame{}
-	p := k.SpawnInline("holdwake", f)
+	p := k.Spawn("holdwake", f)
 	f.t = p
 	k.Step() // spawn turn: machine runs and parks in its hold
 	b.ReportAllocs()
@@ -155,7 +125,7 @@ func BenchmarkInlineHoldWake(b *testing.B) {
 // turn cycle with no external wakes, isolating event dispatch.
 type holdOnlyFrame struct {
 	FrameState
-	t Task
+	t *Proc
 }
 
 func (f *holdOnlyFrame) Step(m *Machine, ok bool) Status {
@@ -177,13 +147,13 @@ func (f *holdOnlyFrame) Step(m *Machine, ok bool) Status {
 }
 
 // BenchmarkTypedDispatch measures the kernel's event dispatch in
-// isolation: an inline process endlessly re-arming a hold, so every
+// isolation: a process endlessly re-arming a hold, so every
 // kernel step fires either a timed task wake or a zero-delay task turn —
 // the two event kinds that dominate simulation runs.
 func BenchmarkTypedDispatch(b *testing.B) {
 	k := NewKernel()
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
+	p := k.Spawn("dispatch", f)
 	f.t = p
 	k.Step() // spawn turn: machine parks in its hold
 	b.ReportAllocs()
@@ -200,7 +170,7 @@ func BenchmarkTypedDispatch(b *testing.B) {
 // warmStartFrame holds n times, then finishes.
 type warmStartFrame struct {
 	FrameState
-	t Task
+	t *Proc
 	n int
 }
 
@@ -228,7 +198,7 @@ func (f *warmStartFrame) Step(m *Machine, ok bool) Status {
 
 // BenchmarkArenaWarmStart measures the replicate start-up pattern the
 // sweep engine repeats thousands of times: build a kernel, spawn a
-// batch of inline processes, run them to completion, tear down. With a
+// batch of processes, run them to completion, tear down. With a
 // per-worker arena the whole cycle — kernel, frames, event pool — runs
 // on memory recycled from the previous replicate, at 0 allocs/op.
 func BenchmarkArenaWarmStart(b *testing.B) {
@@ -240,7 +210,7 @@ func BenchmarkArenaWarmStart(b *testing.B) {
 		for j := 0; j < batch; j++ {
 			f := frames.Alloc()
 			f.n = 4
-			f.t = k.SpawnInline("w", f)
+			f.t = k.Spawn("w", f)
 		}
 		k.Drain()
 		a.Reset()
@@ -253,69 +223,67 @@ func BenchmarkArenaWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkGateContention measures the scheduler-queue hot path the CPU
-// and disks run on every dispatch: N queued waiters, the owner scans for
-// the best (lowest Prio, FIFO among ties), releases it, and the released
-// process immediately re-queues.
-func BenchmarkGateContention(b *testing.B) {
+// gateLoopFrame re-queues at a gate after every release until it is
+// interrupted.
+type gateLoopFrame struct {
+	FrameState
+	p    *Proc
+	g    *Gate
+	prio float64
+}
+
+func (f *gateLoopFrame) Step(m *Machine, ok bool) Status {
+	if f.PC > 0 && !ok {
+		return m.Return(false)
+	}
+	f.PC = 1
+	if f.g.Enqueue(f.p, f.prio, nil, 0) {
+		return Park
+	}
+	return m.Return(false)
+}
+
+// benchGate runs the gate-release benchmark loop: nWaiters processes
+// queue at one gate with priorities i%4; each iteration the owner picks
+// a waiter with pick, releases it, and the released process immediately
+// re-queues.
+func benchGate(b *testing.B, pick func(g *Gate) *Waiting) {
 	const nWaiters = 8
 	k := NewKernel()
 	g := NewGate(k, "bench")
-	for i := 0; i < nWaiters; i++ {
-		prio := float64(i % 4)
-		k.Spawn("waiter", func(p *Proc) {
-			for g.Wait(p, prio, nil) {
-			}
-		})
+	procs := make([]*Proc, nWaiters)
+	for i := range procs {
+		f := &gateLoopFrame{g: g, prio: float64(i % 4)}
+		f.p = k.Spawn("waiter", f)
+		procs[i] = f.p
 	}
-	for i := 0; i < nWaiters; i++ {
+	for range procs {
 		k.Step() // spawn turns: everyone queues
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		best := pickBest(g)
-		g.Release(best)
-		k.Step() // released proc re-queues
+		g.Release(pick(g))
+		k.Step() // released process re-queues
 	}
 	b.StopTimer()
-	for _, p := range procsOf(g) {
+	for _, p := range procs {
 		p.Interrupt()
 	}
 	k.Drain()
 }
 
+// BenchmarkGateContention measures the scheduler-queue hot path the CPU
+// and disks run on every dispatch: N queued waiters, the owner scans for
+// the best (lowest Prio, FIFO among ties), releases it, and the released
+// process immediately re-queues.
+func BenchmarkGateContention(b *testing.B) { benchGate(b, pickBest) }
+
 // BenchmarkGateBoundScan is BenchmarkGateContention with the owner scan
 // replaced by Gate.MinWaiter — the cached-eligibility-bound pick the CPU
 // and disk dispatchers actually use. The gap to BenchmarkGateContention
 // is the saving from the bound short-circuiting the full queue walk.
-func BenchmarkGateBoundScan(b *testing.B) {
-	const nWaiters = 8
-	k := NewKernel()
-	g := NewGate(k, "bench")
-	for i := 0; i < nWaiters; i++ {
-		prio := float64(i % 4)
-		k.Spawn("waiter", func(p *Proc) {
-			for g.Wait(p, prio, nil) {
-			}
-		})
-	}
-	for i := 0; i < nWaiters; i++ {
-		k.Step() // spawn turns: everyone queues
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best := g.MinWaiter()
-		g.Release(best)
-		k.Step() // released proc re-queues
-	}
-	b.StopTimer()
-	for _, p := range procsOf(g) {
-		p.Interrupt()
-	}
-	k.Drain()
-}
+func BenchmarkGateBoundScan(b *testing.B) { benchGate(b, (*Gate).MinWaiter) }
 
 // BenchmarkTickScale measures the schedule/fire cycle across event-delay
 // scales relative to the wheel tick (1/tickScale = 62.5 ms of simulated
@@ -369,15 +337,6 @@ func pickBest(g *Gate) *Waiting {
 		}
 	}
 	return best
-}
-
-// procsOf snapshots the processes currently queued at g (teardown aid).
-func procsOf(g *Gate) []Task {
-	var out []Task
-	for _, w := range g.Waiters() {
-		out = append(out, w.Task())
-	}
-	return out
 }
 
 // benchPart is a minimal partition: an empty kernel whose horizon sits

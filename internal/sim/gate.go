@@ -7,7 +7,7 @@ package sim
 // queue, are all built on Gate.
 //
 // The wait queue is an intrusive doubly-linked list threaded through
-// Waiting records embedded in each process (Proc.wait), so queueing,
+// the Waiting record embedded in each Proc, so queueing,
 // releasing, and interrupt removal are O(1) and allocation-free. A
 // process occupies at most one gate at a time; its record is recycled
 // wait after wait, which means a *Waiting handle is only valid while the
@@ -15,8 +15,8 @@ package sim
 // window in which owners act on handles.
 //
 // A waiter interrupted while queued is removed from the gate
-// automatically and its Wait call returns false; the owner simply never
-// sees it again when iterating the queue.
+// automatically and resumes with ok=false; the owner simply never sees
+// it again when iterating the queue.
 type Gate struct {
 	k          *Kernel
 	name       string
@@ -35,17 +35,17 @@ type Gate struct {
 
 // Waiting is one process queued at a Gate.
 type Waiting struct {
-	task       *taskCore
+	proc       *Proc
 	gate       *Gate
 	next, prev *Waiting
 	seq        uint64
 	// Prio is the caller-supplied priority (lower is more urgent under
 	// Earliest Deadline). The gate itself does not order by it; owners do.
 	Prio float64
-	// Val is a float payload the owner attached via WaitVal (service
-	// times take this lane to avoid boxing them into Data).
+	// Val is a float payload attached at Enqueue (service times take
+	// this lane to avoid boxing them into Data).
 	Val float64
-	// Data is an arbitrary payload the owner attached via Wait.
+	// Data is an arbitrary payload attached at Enqueue.
 	Data any
 
 	removed   bool
@@ -58,8 +58,8 @@ func NewGate(k *Kernel, name string) *Gate {
 	return &Gate{k: k, name: name}
 }
 
-// Task returns the waiting process, whichever representation backs it.
-func (w *Waiting) Task() Task { return w.task.self }
+// Proc returns the waiting process.
+func (w *Waiting) Proc() *Proc { return w.proc }
 
 // Seq returns the arrival sequence number, unique and increasing per gate.
 func (w *Waiting) Seq() uint64 { return w.seq }
@@ -75,22 +75,6 @@ func (g *Gate) Len() int { return g.n }
 
 // First returns the longest-queued waiter, or nil for an empty gate.
 func (g *Gate) First() *Waiting { return g.head }
-
-// Waiters returns the queued processes in arrival order. The slice is a
-// snapshot; entries released or interrupted after the call become stale
-// and are ignored by Release/BeginService — but only until the entry's
-// process queues again, because records are recycled (see the Gate doc).
-// Owners must act on handles within the same simulation event that
-// obtained them, before any waiter can unwind and re-queue; every
-// in-tree owner (Server, Disk, admission) does so. Hot paths should
-// iterate via First/Next instead, which allocates nothing.
-func (g *Gate) Waiters() []*Waiting {
-	out := make([]*Waiting, 0, g.n)
-	for w := g.head; w != nil; w = w.next {
-		out = append(out, w)
-	}
-	return out
-}
 
 // MinWaiter returns the queued waiter with the lowest Prio, first
 // arrival among ties (the exact pick of an arrival-order scan with a
@@ -117,18 +101,6 @@ func (g *Gate) MinWaiter() *Waiting {
 	return best
 }
 
-// MinPrio reports the lowest Prio among queued waiters. The boolean is
-// false for an empty gate. This is the lookahead hook partitioned
-// simulations use to bound how far a shard owning this gate can be
-// affected from outside.
-func (g *Gate) MinPrio() (float64, bool) {
-	w := g.MinWaiter()
-	if w == nil {
-		return 0, false
-	}
-	return w.Prio, true
-}
-
 // remove unlinks w from the queue, preserving order. Every dequeue —
 // release, service entry, interrupt removal — funnels here, so it is
 // also where a trace sink observes the wait ending.
@@ -137,7 +109,7 @@ func (g *Gate) remove(w *Waiting) {
 		return
 	}
 	if s := g.k.sink; s != nil {
-		s.WaitEnd(g.k.now, g.name, w.task.tid)
+		s.WaitEnd(g.k.now, g.name, w.proc.tid)
 	}
 	if w.prev != nil {
 		w.prev.next = w.next
@@ -154,13 +126,12 @@ func (g *Gate) remove(w *Waiting) {
 	g.n--
 }
 
-// enqueue links a task's embedded wait record into the queue and marks
-// its wait cancellable by unlinking. Both the blocking and the inline
-// entry points funnel here, so the two representations queue
-// identically.
-func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
-	w := &c.wait
-	*w = Waiting{task: c, gate: g, seq: g.seq, Prio: prio, Val: val, Data: data}
+// enqueue links a process's embedded wait record into the queue and
+// marks its wait cancellable by unlinking. Enqueue and Server.StartUse
+// both funnel here.
+func (g *Gate) enqueue(p *Proc, prio float64, data any, val float64) {
+	w := &p.wait
+	*w = Waiting{proc: p, gate: g, seq: g.seq, Prio: prio, Val: val, Data: data}
 	g.seq++
 	if g.tail == nil {
 		g.head = w
@@ -174,41 +145,26 @@ func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 	}
 	g.tail = w
 	g.n++
-	c.cancel = cancelGate
+	p.cancel = cancelGate
 	if s := g.k.sink; s != nil {
-		s.WaitBegin(g.k.now, g.name, c.tid, prio)
+		s.WaitBegin(g.k.now, g.name, p.tid, prio)
 	}
 }
 
-// Enqueue is the inline-process counterpart of Wait/WaitVal: it queues t
-// at the gate without blocking and reports whether the wait was entered
-// (false means a pending interrupt consumed it and nothing was queued).
-// On true the caller must park immediately — an inline frame by
-// returning Park with its PC set to the resumption point — and is woken
-// by the owner's Release/EndService or unwound by Interrupt, with the
-// outcome delivered to the next Step exactly as Wait's return value.
-func (g *Gate) Enqueue(t Task, prio float64, data any, val float64) bool {
-	c := t.core()
-	if c.takePendingInterrupt() {
+// Enqueue queues p at the gate with the given priority and payloads
+// (read back via Waiting.Data and Waiting.Val) and reports whether the
+// wait was entered; false means a pending interrupt consumed it and
+// nothing was queued. On true the calling frame must return Park at
+// once. Its next Step receives ok=true when the owner releases it (or
+// ends its service section) and ok=false when it was interrupted while
+// queued (the entry is removed) or during a service section begun with
+// BeginService (the service completes first).
+func (g *Gate) Enqueue(p *Proc, prio float64, data any, val float64) bool {
+	if p.takePendingInterrupt() {
 		return false
 	}
-	g.enqueue(c, prio, data, val)
+	g.enqueue(p, prio, data, val)
 	return true
-}
-
-// Wait queues the calling process at the gate with the given priority and
-// payload, then parks. It returns true when released by the owner and
-// false when interrupted while queued (the entry is removed) or
-// interrupted during a service section begun with BeginService (the
-// service completes first).
-func (g *Gate) Wait(p *Proc, prio float64, data any) bool {
-	return g.Enqueue(p, prio, data, 0) && p.Await()
-}
-
-// WaitVal is Wait with a float payload (read back via Waiting.Val); it
-// exists so hot paths need not box numeric payloads into Data.
-func (g *Gate) WaitVal(p *Proc, prio, val float64) bool {
-	return g.Enqueue(p, prio, nil, val) && p.Await()
 }
 
 // Release removes w from the queue and wakes its process. It reports
@@ -218,7 +174,7 @@ func (g *Gate) Release(w *Waiting) bool {
 		return false
 	}
 	g.remove(w)
-	w.task.deliverWake(false)
+	w.proc.deliverWake(false)
 	return true
 }
 
@@ -234,17 +190,17 @@ func (g *Gate) BeginService(w *Waiting) bool {
 	// The process keeps waiting but can no longer be torn out of the
 	// queue: mark its wait uncancellable so interrupts defer to
 	// EndService.
-	w.task.cancel = cancelNone
+	w.proc.cancel = cancelNone
 	return true
 }
 
 // EndService wakes a process whose service section (started with
-// BeginService) has completed. Deferred interrupts are reported by the
-// waiter's Wait call.
+// BeginService) has completed. A deferred interrupt is folded into the
+// outcome the waiter resumes with.
 func (g *Gate) EndService(w *Waiting) {
 	if !w.inService {
 		panic("sim: EndService without BeginService")
 	}
 	w.inService = false
-	w.task.deliverWake(false)
+	w.proc.deliverWake(false)
 }

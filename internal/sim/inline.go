@@ -1,33 +1,22 @@
 package sim
 
-// InlineProc is the inline process representation: a resumable state
-// machine the kernel executes directly on its own goroutine. A turn is a
-// function call into the machine's top frame; parking is returning Park
-// from it. There is no goroutine and no channel, which removes the two
-// channel handoffs per turn that dominate the Proc hot path.
+// A process body is a stack of Frames — explicit activation records
+// with a program counter (FrameState) and locals promoted to struct
+// fields — that the kernel executes directly on its own goroutine. A
+// turn is a function call into the top frame; parking is returning Park
+// from it.
 //
-// A process body is expressed as a stack of Frames — explicit activation
-// records with a program counter (FrameState) and locals promoted to
-// struct fields. The contract mirrors the blocking API exactly:
+// A blocking step is split in two:
 //
-//   - where a Proc body would call p.Hold(dt), a frame calls
-//     StartHold(dt) and, if it reports entered, returns Park after
-//     recording where to resume; the next Step receives ok=false when
-//     the wait was interrupted, exactly like Hold's return value.
-//   - where a body would call a function that can block, a frame calls
+//   - to wait, a frame arms exactly one wait (Proc.StartHold,
+//     Proc.StartPark, Gate.Enqueue, Server.StartUse, or a resource
+//     wrapper built on them) and, if it reports entered, returns Park
+//     after recording where to resume; the next Step receives ok=false
+//     when the wait was interrupted. A wait that reports not entered (a
+//     pending interrupt consumed it) continues at once with ok=false.
+//   - to run a sub-computation that can block, a frame calls
 //     m.Call(child) and receives the child's result in ok when the
 //     child returns.
-//
-// Because the inline primitives (StartHold, StartPark, Gate.Enqueue,
-// Server.StartUse, and the resource wrappers built on them) share their
-// implementation with the blocking ones, an inline process generates a
-// bit-for-bit identical event sequence to the equivalent goroutine
-// process: same events, same (time, seq) order, same interrupt windows.
-type InlineProc struct {
-	taskCore
-	m       Machine
-	started bool
-}
 
 // Status is what a frame's Step reports to the machine driver.
 type Status int8
@@ -46,7 +35,7 @@ const (
 	Call
 )
 
-// Frame is one resumable activation record of an inline process. Step
+// Frame is one resumable activation record of a process. Step
 // runs the frame from its current program counter until it parks, calls
 // a child frame, or returns. ok carries the result of whatever completed
 // since the last Step: the child's return value after a Call, or the
@@ -67,7 +56,7 @@ type FrameState struct{ PC int32 }
 
 func (f *FrameState) setPC(pc int32) { f.PC = pc }
 
-// Machine drives an inline process's frame stack.
+// Machine drives a process's frame stack.
 type Machine struct {
 	stack []Frame
 	ret   bool
@@ -91,51 +80,49 @@ func (m *Machine) Return(ok bool) Status {
 	return Ret
 }
 
-// SpawnInline starts an inline process whose body is the given root
-// frame. Like Spawn, the body begins executing at the current simulation
-// time, after already-scheduled events at this time; the process is dead
-// once the root frame returns. On an arena-backed kernel, the process
+// Spawn starts a process whose body is the given root frame. The body
+// begins executing at the current simulation time, after
+// already-scheduled events at this time; the process is dead once the
+// root frame returns. On an arena-backed kernel, the process
 // record and its frame stack come from the arena — a record handed back
 // by Release first — so steady-state spawns allocate nothing. Every
 // spawn registers a fresh task id, reused record or not.
-func (k *Kernel) SpawnInline(name string, root Frame) *InlineProc {
-	var p *InlineProc
+func (k *Kernel) Spawn(name string, root Frame) *Proc {
+	var p *Proc
 	if a := k.arena; a != nil {
-		p = SlabFor[InlineProc](a).Alloc()
+		p = SlabFor[Proc](a).Alloc()
 		st := SlabFor[[8]Frame](a).Alloc()
 		p.m.stack = append(st[:0], root)
 	} else {
-		p = &InlineProc{}
+		p = &Proc{}
 		p.m.stack = append(make([]Frame, 0, 8), root)
 	}
 	p.k = k
 	p.name = name
-	p.self = p
 	p.state = procWakePending
-	p.inline = p
 	root.setPC(0)
-	k.registerTask(&p.taskCore)
+	k.registerTask(p)
 	k.procs++
-	k.schedTurn(&p.taskCore)
+	k.schedTurn(p)
 	return p
 }
 
 // deadTask is the permanently dead sentinel a released process's task
 // id points at: every event that can outlive a process is a no-op on a
 // dead task. Nothing ever writes to it.
-var deadTask = taskCore{state: procDead}
+var deadTask = Proc{state: procDead}
 
-// Release hands p, a dead inline process, and its frame stack back to
-// the kernel's arena for a later SpawnInline; the owner must drop every
+// Release hands p, a dead process, and its frame stack back to the
+// kernel's arena for a later Spawn; the owner must drop every
 // reference to p. Its task id is re-pointed at a dead sentinel, so an
 // event still addressed to it (a deadline abort left pending) stays a
 // no-op and never reaches the record's next user. Releasing a live
 // process, or one twice, panics.
-func (k *Kernel) Release(p *InlineProc) {
+func (k *Kernel) Release(p *Proc) {
 	if p.state != procDead {
 		panic("sim: release of a live process")
 	}
-	if k.tasks[p.tid] != &p.taskCore {
+	if k.tasks[p.tid] != p {
 		panic("sim: process released twice or by a foreign kernel")
 	}
 	k.tasks[p.tid] = &deadTask
@@ -143,27 +130,22 @@ func (k *Kernel) Release(p *InlineProc) {
 		if cap(p.m.stack) == 8 { // the arena's stack, not grown onto the heap
 			SlabFor[[8]Frame](a).Free((*[8]Frame)(p.m.stack[:8]))
 		}
-		SlabFor[InlineProc](a).Free(p)
+		SlabFor[Proc](a).Free(p)
 	}
 }
 
 // runTurn executes one turn of the state machine: it steps frames until
 // one parks (the process waits for its wake) or the stack empties (the
-// process is dead). The resume bookkeeping mirrors Proc.park's
-// post-resume sequence — consume the armed cancel state, then fold a
-// deferred interrupt into the outcome — except on the very first turn,
-// which is an entry, not the completion of a wait.
-func (p *InlineProc) runTurn() {
+// process is dead). Resuming from a wait consumes the armed cancel state
+// and folds a deferred interrupt into the wake's outcome; the very first
+// turn is an entry, not the completion of a wait.
+func (p *Proc) runTurn() {
 	p.state = procRunning
 	ok := true
 	if p.started {
 		p.cancel = cancelNone
-		out := p.wakeOutcome
-		if p.pendingInterrupt {
-			out.interrupted = true
-			p.pendingInterrupt = false
-		}
-		ok = !out.interrupted
+		ok = !p.wakeInterrupted && !p.pendingInterrupt
+		p.pendingInterrupt = false
 	} else {
 		p.started = true
 	}
@@ -201,7 +183,7 @@ func (p *InlineProc) runTurn() {
 	}
 }
 
-// Script is a ready-made Frame for ad-hoc inline processes (tests,
+// Script is a ready-made Frame for ad-hoc processes (tests,
 // tools): a fixed sequence of stages run in order. Each stage must end
 // its turn the way any frame step does — park after arming a wait, call
 // a child frame with m.Call, or finish with m.Return — and the next

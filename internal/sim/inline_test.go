@@ -2,11 +2,42 @@ package sim
 
 import "testing"
 
-// holdWakeFrame is the inline counterpart of the BenchmarkHoldWake body:
-// an endless Hold(1) / Park alternation that exits on interrupt.
+// bodyFrame is a straight-line test process: its steps run in order, each
+// holding the code up to and including one wait. A step reports whether
+// its wait was entered: on true the process parks and the next step
+// receives the wait's outcome in ok (false = interrupted); on false (no
+// wait armed, or a pending interrupt consumed it) the next step runs at
+// once with ok=false. The first step receives ok=true.
+type bodyFrame struct {
+	FrameState
+	p     *Proc
+	steps []func(p *Proc, ok bool) bool
+}
+
+func (f *bodyFrame) Step(m *Machine, ok bool) Status {
+	for int(f.PC) < len(f.steps) {
+		i := f.PC
+		f.PC++
+		if f.steps[i](f.p, ok) {
+			return Park
+		}
+		ok = false
+	}
+	return m.Return(ok)
+}
+
+// spawnBody spawns a process running steps as a bodyFrame.
+func spawnBody(k *Kernel, name string, steps ...func(p *Proc, ok bool) bool) *Proc {
+	f := &bodyFrame{steps: steps}
+	f.p = k.Spawn(name, f)
+	return f.p
+}
+
+// holdWakeFrame is an endless Hold(1) / Park alternation that exits on
+// interrupt.
 type holdWakeFrame struct {
 	FrameState
-	t      Task
+	t      *Proc
 	cycles int
 }
 
@@ -38,60 +69,60 @@ func (f *holdWakeFrame) Step(m *Machine, ok bool) Status {
 	}
 }
 
-// TestInlineMirrorsProc locks the two process representations together:
-// the same hold/park/wake/interrupt scenario, driven step by step on two
-// kernels, must produce identical clocks, step counts and lifecycles.
-func TestInlineMirrorsProc(t *testing.T) {
-	kg := NewKernel()
-	pg := kg.Spawn("gproc", func(p *Proc) {
-		for {
-			if !p.Hold(1) {
-				return
-			}
-			if !p.Park() {
-				return
-			}
-		}
-	})
-	ki := NewKernel()
+// TestHoldWakeSequence drives the hold/park/wake/interrupt cycle step by
+// step and pins the kernel's (Now, Steps) after every step: each cycle
+// is a timed wake, the turn that parks, and the turn the external Wake
+// schedules, and the final interrupt cancels the pending hold and ends
+// the process in one more turn at the same instant.
+func TestHoldWakeSequence(t *testing.T) {
+	type point struct {
+		now   float64
+		steps uint64
+	}
+	k := NewKernel()
 	f := &holdWakeFrame{}
-	pi := ki.SpawnInline("iproc", f)
-	f.t = pi
-
+	p := k.Spawn("holdwake", f)
+	f.t = p
+	var got []point
 	step := func() {
-		gb, ib := kg.Step(), ki.Step()
-		if gb != ib {
-			t.Fatalf("step availability diverged: proc %v, inline %v", gb, ib)
+		if !k.Step() {
+			t.Fatalf("no event pending after %d steps", k.Steps())
 		}
-		if kg.Now() != ki.Now() || kg.Steps() != ki.Steps() {
-			t.Fatalf("kernels diverged: proc (t=%g, steps=%d), inline (t=%g, steps=%d)",
-				kg.Now(), kg.Steps(), ki.Now(), ki.Steps())
-		}
+		got = append(got, point{k.Now(), k.Steps()})
 	}
 
-	step() // spawn turn: both park in Hold
+	step() // spawn turn: parks in the hold
 	for i := 0; i < 5; i++ {
 		step() // hold timer fires, wake scheduled
-		step() // resumes, parks in Park
-		pg.Wake()
-		pi.Wake()
-		step() // resumes, parks in Hold again
+		step() // resumes, parks in the park
+		p.Wake()
+		step() // resumes, parks in the hold again
 	}
 	if f.cycles != 5 {
-		t.Fatalf("inline machine completed %d cycles, want 5", f.cycles)
+		t.Fatalf("completed %d cycles, want 5", f.cycles)
 	}
-	pg.Interrupt()
-	pi.Interrupt()
-	kg.Drain()
-	ki.Drain()
-	if kg.Steps() != ki.Steps() {
-		t.Fatalf("final steps diverged: proc %d, inline %d", kg.Steps(), ki.Steps())
+	p.Interrupt()
+	k.Drain()
+	got = append(got, point{k.Now(), k.Steps()})
+
+	want := []point{{0, 1},
+		{1, 2}, {1, 3}, {1, 4},
+		{2, 5}, {2, 6}, {2, 7},
+		{3, 8}, {3, 9}, {3, 10},
+		{4, 11}, {4, 12}, {4, 13},
+		{5, 14}, {5, 15}, {5, 16},
+		{5, 17}}
+	if len(got) != len(want) {
+		t.Fatalf("sequence %v, want %v", got, want)
 	}
-	if !pg.Dead() || !pi.Dead() {
-		t.Fatalf("processes not dead: proc %v, inline %v", pg.Dead(), pi.Dead())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d at (t=%g, steps=%d), want (t=%g, steps=%d); sequence %v",
+				i, got[i].now, got[i].steps, want[i].now, want[i].steps, got)
+		}
 	}
-	if kg.LiveProcs() != 0 || ki.LiveProcs() != 0 {
-		t.Fatalf("live procs leaked: proc kernel %d, inline kernel %d", kg.LiveProcs(), ki.LiveProcs())
+	if !p.Dead() || k.LiveProcs() != 0 {
+		t.Fatalf("process dead=%v, live procs %d", p.Dead(), k.LiveProcs())
 	}
 }
 
@@ -101,7 +132,7 @@ func TestInlineMirrorsProc(t *testing.T) {
 func TestInlinePendingInterrupt(t *testing.T) {
 	k := NewKernel()
 	f := &holdWakeFrame{}
-	p := k.SpawnInline("victim", f)
+	p := k.Spawn("victim", f)
 	f.t = p
 	k.Step() // spawn turn: parks in Hold(1)
 	p.Interrupt()
@@ -123,7 +154,7 @@ func TestInlinePendingInterrupt(t *testing.T) {
 // gateWaitFrame queues at a gate once and records the outcome.
 type gateWaitFrame struct {
 	FrameState
-	t    Task
+	t    *Proc
 	g    *Gate
 	prio float64
 	got  bool
@@ -145,17 +176,19 @@ func (f *gateWaitFrame) Step(m *Machine, ok bool) Status {
 }
 
 // TestInlineGateEnqueue drives gate release and gate interrupt against
-// inline waiters mixed with a goroutine waiter on the same gate.
+// three waiters on one gate.
 func TestInlineGateEnqueue(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "mixed")
 	fa := &gateWaitFrame{g: g, prio: 2}
-	pa := k.SpawnInline("a", fa)
+	pa := k.Spawn("a", fa)
 	fa.t = pa
 	gotB := false
-	k.Spawn("b", func(p *Proc) { gotB = g.Wait(p, 1, nil) })
+	spawnBody(k, "b",
+		func(p *Proc, _ bool) bool { return g.Enqueue(p, 1, nil, 0) },
+		func(_ *Proc, ok bool) bool { gotB = ok; return false })
 	fc := &gateWaitFrame{g: g, prio: 3}
-	pc := k.SpawnInline("c", fc)
+	pc := k.Spawn("c", fc)
 	fc.t = pc
 	for i := 0; i < 3; i++ {
 		k.Step() // spawn turns: all three queue
@@ -163,27 +196,27 @@ func TestInlineGateEnqueue(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("gate len = %d, want 3", g.Len())
 	}
-	// Owner picks the lowest Prio (the goroutine proc), releases it.
+	// Owner picks the lowest Prio (b), releases it.
 	var best *Waiting
 	for w := g.First(); w != nil; w = w.Next() {
 		if best == nil || w.Prio < best.Prio {
 			best = w
 		}
 	}
-	if best.Task().Name() != "b" {
-		t.Fatalf("best waiter = %q, want b", best.Task().Name())
+	if best.Proc().Name() != "b" {
+		t.Fatalf("best waiter = %q, want b", best.Proc().Name())
 	}
 	g.Release(best)
-	// Interrupt one inline waiter while queued: removed, Wait outcome false.
+	// Interrupt one waiter while queued: removed, outcome false.
 	pc.Interrupt()
 	k.Drain()
 	if !gotB {
-		t.Fatal("released goroutine waiter did not observe success")
+		t.Fatal("released waiter b did not observe success")
 	}
 	if fc.got {
-		t.Fatal("interrupted inline waiter observed success")
+		t.Fatal("interrupted waiter observed success")
 	}
-	if g.Len() != 1 || g.First().Task().Name() != "a" {
+	if g.Len() != 1 || g.First().Proc().Name() != "a" {
 		t.Fatalf("gate should still hold only a; len=%d", g.Len())
 	}
 	if pa.Dead() {
@@ -199,7 +232,7 @@ func TestInlineGateEnqueue(t *testing.T) {
 // serverUseFrame runs one StartUse request and records the outcome.
 type serverUseFrame struct {
 	FrameState
-	t       Task
+	t       *Proc
 	s       *Server
 	prio    float64
 	service float64
@@ -222,16 +255,15 @@ func (f *serverUseFrame) Step(m *Machine, ok bool) Status {
 }
 
 // TestInlineServerStartUse exercises the direct and queued service paths
-// with inline requesters and checks busy-time accounting matches the
-// blocking path's semantics.
+// and checks busy-time accounting.
 func TestInlineServerStartUse(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "srv")
 	fa := &serverUseFrame{s: s, prio: 2, service: 3}
-	pa := k.SpawnInline("a", fa)
+	pa := k.Spawn("a", fa)
 	fa.t = pa
 	fb := &serverUseFrame{s: s, prio: 1, service: 2}
-	pb := k.SpawnInline("b", fb)
+	pb := k.Spawn("b", fb)
 	fb.t = pb
 	k.Drain()
 	if !fa.got || !fb.got {
@@ -250,7 +282,7 @@ func TestInlineServerStartUse(t *testing.T) {
 // reuse (the child's PC is reset by each Call).
 type childFrame struct {
 	FrameState
-	t Task
+	t *Proc
 	n int
 }
 
@@ -302,7 +334,7 @@ func TestInlineCallStack(t *testing.T) {
 	k := NewKernel()
 	child := &childFrame{}
 	parent := &parentFrame{child: child}
-	p := k.SpawnInline("nested", parent)
+	p := k.Spawn("nested", parent)
 	child.t = p
 	k.Drain()
 	if !p.Dead() {

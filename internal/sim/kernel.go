@@ -146,7 +146,7 @@ func (t *Timer) Stop() bool {
 
 // stopEvent cancels the pending event identified by (id, seq),
 // reporting whether it had not yet fired. It backs both Timer.Stop and
-// the pointer-free hold-wake handle in taskCore.
+// the pointer-free hold-wake handle in Proc.
 func (k *Kernel) stopEvent(id int32, seq uint64) bool {
 	s := &k.slots[id]
 	if s.seq != seq {
@@ -211,7 +211,7 @@ type Kernel struct {
 	// would mis-target them; Release re-points a released process's id
 	// at the dead sentinel instead. The registry grows by one word per
 	// spawn.
-	tasks []*taskCore
+	tasks []*Proc
 	comps []Completer
 
 	// sink, when non-nil, observes every dispatched event, timer
@@ -275,9 +275,9 @@ func (k *Kernel) Arena() *Arena { return k.arena }
 func (k *Kernel) SetSink(s trace.Sink) {
 	k.sink = s
 	if s != nil {
-		for _, c := range k.tasks {
-			if c != &deadTask {
-				s.TaskName(c.tid, c.name)
+		for _, p := range k.tasks {
+			if p != &deadTask {
+				s.TaskName(p.tid, p.name)
 			}
 		}
 	}
@@ -286,13 +286,13 @@ func (k *Kernel) SetSink(s trace.Sink) {
 // Sink returns the attached trace sink, or nil.
 func (k *Kernel) Sink() trace.Sink { return k.sink }
 
-// registerTask assigns a task its kernel-local id, the payload typed
+// registerTask assigns a process its kernel-local id, the payload typed
 // events carry instead of a pointer.
-func (k *Kernel) registerTask(c *taskCore) {
-	c.tid = int32(len(k.tasks))
-	k.tasks = append(k.tasks, c)
+func (k *Kernel) registerTask(p *Proc) {
+	p.tid = int32(len(k.tasks))
+	k.tasks = append(k.tasks, p)
 	if k.sink != nil {
-		k.sink.TaskName(c.tid, c.name)
+		k.sink.TaskName(p.tid, p.name)
 	}
 }
 
@@ -347,12 +347,8 @@ func (k *Kernel) newSlot(kind uint8, arg int32) (int32, *eventSlot, uint64) {
 
 // sched files a freshly stamped slot into the queue after delay (≥ 0)
 // simulated seconds. Events with equal times fire in scheduling order,
-// which keeps runs deterministic.
-//
-// The timed-insert logic below is mirrored verbatim in At and schedWake:
-// those two entry points sit on paths hot enough that the extra call
-// into sched is measurable, and the Go inliner cannot absorb a body
-// this size. Keep all three in sync.
+// which keeps runs deterministic. Every scheduling entry point funnels
+// here, so the timed insert exists once.
 func (k *Kernel) sched(delay float64, id int32, s *eventSlot, seq uint64) {
 	if delay == 0 {
 		// Same-timestamp fast lane. Lane entries always fire before the
@@ -401,7 +397,6 @@ func (k *Kernel) sched(delay float64, id int32, s *eventSlot, seq uint64) {
 // cancellable Timer. A negative delay panics: the past is immutable.
 // At is the closure escape hatch for ad-hoc events; everything the
 // simulator schedules on its hot paths uses the typed kinds instead.
-// The queue insert mirrors sched (see the comment there).
 func (k *Kernel) At(delay float64, fn func()) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
@@ -411,121 +406,63 @@ func (k *Kernel) At(delay float64, fn func()) Timer {
 	}
 	id, s, seq := k.newSlot(evClosure, 0)
 	s.fn = fn
-	if delay == 0 {
-		s.loc = locNone
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: evClosure})
-		return Timer{k: k, id: id, seq: seq}
-	}
-	it := heapItem{at: k.now + delay, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return Timer{k: k, id: id, seq: seq}
-		}
-		if k.timedEmpty() {
-			k.reg[n] = it
-			k.regN = n + 1
-			return Timer{k: k, id: id, seq: seq}
-		}
-	} else if heapLess(it, k.reg[1]) {
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
+	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
 }
 
-// schedTurn schedules a zero-delay turn for a task. Turns cannot be
+// schedTurn schedules a zero-delay turn for a process. Turns cannot be
 // cancelled, so they are slot-free: the lane entry itself is the whole
 // event record, and scheduling one touches no slot at all. The body is
-// small enough to inline into deliverWake and the spawn paths.
-func (k *Kernel) schedTurn(c *taskCore) {
+// small enough to inline into deliverWake and Spawn.
+func (k *Kernel) schedTurn(p *Proc) {
 	seq := k.seq
 	k.seq++
-	k.lane = append(k.lane, laneItem{seq: seq, id: c.tid, kind: evTurn})
+	k.lane = append(k.lane, laneItem{seq: seq, id: p.tid, kind: evTurn})
 }
 
 // schedWake arms the timed wake of a hold: deliverWake(false) on the
-// task after delay. It returns the (slot, seq) pair identifying the
+// process after delay. It returns the (slot, seq) pair identifying the
 // event — the hold's cancel handle, pointer-free so storing it in the
-// task core crosses no write barrier. The queue insert mirrors sched
-// (see the comment there).
-func (k *Kernel) schedWake(delay float64, c *taskCore) (int32, uint64) {
-	id, s, seq := k.newSlot(evWake, c.tid)
-	if delay == 0 {
-		s.loc = locNone
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: evWake})
-		return id, seq
-	}
-	it := heapItem{at: k.now + delay, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return id, seq
-		}
-		if k.timedEmpty() {
-			k.reg[n] = it
-			k.regN = n + 1
-			return id, seq
-		}
-	} else if heapLess(it, k.reg[1]) {
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
+// process crosses no write barrier.
+func (k *Kernel) schedWake(delay float64, p *Proc) (int32, uint64) {
+	id, s, seq := k.newSlot(evWake, p.tid)
+	k.sched(delay, id, s, seq)
 	return id, seq
 }
 
-// AtWake schedules t.Wake() after delay simulated seconds: a timed
-// nudge that resumes the task only if it still sits in a plain park
+// AtWake schedules p.Wake() after delay simulated seconds: a timed
+// nudge that resumes the process only if it still sits in a plain park
 // (pacing urgency timers). A negative delay panics.
-func (k *Kernel) AtWake(delay float64, t Task) Timer {
+func (k *Kernel) AtWake(delay float64, p *Proc) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
 	}
-	id, s, seq := k.newSlot(evParkWake, t.core().tid)
+	id, s, seq := k.newSlot(evParkWake, p.tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
 }
 
-// AtInterrupt schedules t.Interrupt() after delay simulated seconds
+// AtInterrupt schedules p.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
 // so the timer may safely outlive its target. A negative delay panics.
-func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
+func (k *Kernel) AtInterrupt(delay float64, p *Proc) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
 	}
-	id, s, seq := k.newSlot(evInterrupt, t.core().tid)
+	id, s, seq := k.newSlot(evInterrupt, p.tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
 }
 
-// EndService resumes task tid from its service wait on completer comp
-// (Task.StartService). It is a no-op when the task no longer waits on
-// comp: interrupted, dead, or released (tid then names the sentinel).
+// EndService resumes process tid from its service wait on completer
+// comp (Proc.StartService). It is a no-op when the process no longer
+// waits on comp: interrupted, dead, or released (tid then names the
+// sentinel).
 func (k *Kernel) EndService(tid, comp int32) {
-	c := k.tasks[tid]
-	if c.state == procParked && c.cancel == cancelService && c.holdID == comp {
-		c.cancel = cancelNone
-		c.deliverWake(false)
+	p := k.tasks[tid]
+	if p.state == procParked && p.cancel == cancelService && p.holdID == comp {
+		p.cancel = cancelNone
+		p.deliverWake(false)
 	}
 }
 
@@ -682,12 +619,7 @@ func (k *Kernel) Step() bool {
 			if k.sink != nil {
 				k.sink.Dispatch(k.now, l.seq, evTurn, l.id)
 			}
-			c := k.tasks[l.id]
-			if p := c.inline; p != nil {
-				p.runTurn()
-			} else {
-				c.turnFn()
-			}
+			k.tasks[l.id].runTurn()
 			return true
 		}
 		id = l.id
@@ -705,12 +637,7 @@ fire:
 	k.steps++
 	switch arg := karg >> 3; uint8(karg & 7) {
 	case evTurn:
-		c := k.tasks[arg]
-		if p := c.inline; p != nil {
-			p.runTurn()
-		} else {
-			c.turnFn()
-		}
+		k.tasks[arg].runTurn()
 	case evWake:
 		k.tasks[arg].deliverWake(false)
 	case evClosure:

@@ -208,16 +208,21 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestHoldAdvancesTime(t *testing.T) {
 	k := NewKernel()
 	var at []float64
-	k.Spawn("holder", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			if !p.Hold(1.5) {
-				t.Error("unexpected interrupt")
-			}
-			at = append(at, p.Now())
+	record := func(p *Proc, ok bool) bool {
+		if !ok {
+			t.Error("unexpected interrupt")
 		}
-	})
+		at = append(at, p.Now())
+		return len(at) < 3 && p.StartHold(1.5)
+	}
+	spawnBody(k, "holder",
+		func(p *Proc, _ bool) bool { return p.StartHold(1.5) },
+		record, record, record)
 	k.Drain()
 	want := []float64{1.5, 3.0, 4.5}
+	if len(at) != len(want) {
+		t.Fatalf("hold times %v, want %v", at, want)
+	}
 	for i := range want {
 		if math.Abs(at[i]-want[i]) > 1e-12 {
 			t.Fatalf("hold times %v, want %v", at, want)
@@ -232,22 +237,27 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 	run := func() []string {
 		k := NewKernel()
 		var trace []string
-		k.Spawn("a", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				p.Hold(2)
-				trace = append(trace, "a")
+		spawnHolder := func(name string, dt float64) {
+			hold := func(p *Proc, _ bool) bool { return p.StartHold(dt) }
+			mark := func(p *Proc, _ bool) bool {
+				trace = append(trace, name)
+				return p.StartHold(dt)
 			}
-		})
-		k.Spawn("b", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				p.Hold(3)
-				trace = append(trace, "b")
+			last := func(*Proc, bool) bool {
+				trace = append(trace, name)
+				return false
 			}
-		})
+			spawnBody(k, name, hold, mark, mark, last)
+		}
+		spawnHolder("a", 2)
+		spawnHolder("b", 3)
 		k.Drain()
 		return trace
 	}
 	first := run()
+	if len(first) != 6 {
+		t.Fatalf("trace %v, want 6 entries", first)
+	}
 	for i := 0; i < 20; i++ {
 		got := run()
 		for j := range first {
@@ -260,14 +270,16 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 
 func TestParkWake(t *testing.T) {
 	k := NewKernel()
-	var p *Proc
 	woke := false
-	p = k.Spawn("sleeper", func(p *Proc) {
-		if !p.Park() {
-			t.Error("park reported interrupt")
-		}
-		woke = true
-	})
+	p := spawnBody(k, "sleeper",
+		func(p *Proc, _ bool) bool { return p.StartPark() },
+		func(_ *Proc, ok bool) bool {
+			if !ok {
+				t.Error("park reported interrupt")
+			}
+			woke = true
+			return false
+		})
 	k.At(5, func() { p.Wake() })
 	k.Drain()
 	if !woke {
@@ -281,12 +293,15 @@ func TestParkWake(t *testing.T) {
 func TestInterruptDuringHold(t *testing.T) {
 	k := NewKernel()
 	var interruptedAt float64 = -1
-	p := k.Spawn("victim", func(p *Proc) {
-		if p.Hold(100) {
-			t.Error("hold should have been interrupted")
-		}
-		interruptedAt = p.Now()
-	})
+	p := spawnBody(k, "victim",
+		func(p *Proc, _ bool) bool { return p.StartHold(100) },
+		func(p *Proc, ok bool) bool {
+			if ok {
+				t.Error("hold should have been interrupted")
+			}
+			interruptedAt = p.Now()
+			return false
+		})
 	k.At(7, func() { p.Interrupt() })
 	k.Drain()
 	if interruptedAt != 7 {
@@ -296,33 +311,37 @@ func TestInterruptDuringHold(t *testing.T) {
 
 func TestInterruptDuringPark(t *testing.T) {
 	k := NewKernel()
-	got := make(chan bool, 1)
-	p := k.Spawn("victim", func(p *Proc) { got <- p.Park() })
+	resumed, got := false, true
+	p := spawnBody(k, "victim",
+		func(p *Proc, _ bool) bool { return p.StartPark() },
+		func(_ *Proc, ok bool) bool { resumed, got = true, ok; return false })
 	k.At(1, func() { p.Interrupt() })
 	k.Drain()
-	if ok := <-got; ok {
+	if !resumed {
+		t.Fatal("interrupted park never resumed")
+	}
+	if got {
 		t.Fatal("park should report interruption")
 	}
 }
 
 func TestInterruptDeadProcIsNoop(t *testing.T) {
 	k := NewKernel()
-	p := k.Spawn("quick", func(p *Proc) {})
+	p := spawnBody(k, "quick")
 	k.Drain()
 	if !p.Dead() {
 		t.Fatal("process should be dead")
 	}
-	p.Interrupt() // must not panic or deadlock
+	p.Interrupt() // must not panic or schedule anything
 	k.Drain()
 }
 
 func TestWakeDoubleDeliverOnce(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	p := k.Spawn("sleeper", func(p *Proc) {
-		p.Park()
-		count++
-	})
+	p := spawnBody(k, "sleeper",
+		func(p *Proc, _ bool) bool { return p.StartPark() },
+		func(*Proc, bool) bool { count++; return false })
 	k.At(1, func() { p.Wake(); p.Wake() })
 	k.Drain()
 	if count != 1 {
@@ -333,42 +352,37 @@ func TestWakeDoubleDeliverOnce(t *testing.T) {
 func TestWakeDoesNotDisturbHold(t *testing.T) {
 	k := NewKernel()
 	var resumedAt float64
-	p := k.Spawn("sleeper", func(p *Proc) {
-		if !p.Hold(10) {
-			t.Error("hold interrupted unexpectedly")
-		}
-		resumedAt = p.Now()
-	})
-	k.At(1, func() { p.Wake() }) // must be a no-op: Wake only ends Park
+	p := spawnBody(k, "sleeper",
+		func(p *Proc, _ bool) bool { return p.StartHold(10) },
+		func(p *Proc, ok bool) bool {
+			if !ok {
+				t.Error("hold interrupted unexpectedly")
+			}
+			resumedAt = p.Now()
+			return false
+		})
+	k.At(1, func() { p.Wake() }) // must be a no-op: Wake only ends a park
 	k.Drain()
 	if resumedAt != 10 {
 		t.Fatalf("hold ended at %g, want 10 (Wake must not cut holds short)", resumedAt)
 	}
 }
 
-func TestProcPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("process panic did not propagate to kernel")
-		}
-	}()
-	k := NewKernel()
-	k.Spawn("bomb", func(p *Proc) { panic("boom") })
-	k.Drain()
-}
-
 func TestInterruptWhileRunningDefersToNextBlock(t *testing.T) {
 	k := NewKernel()
 	var first, second bool
-	var p *Proc
-	p = k.Spawn("self", func(p *Proc) {
-		p.Hold(1)
-		// Interrupt arrives while running (delivered synchronously here).
-		p.Interrupt()
-		first = p.Hold(1)  // should consume the pending interrupt
-		second = p.Hold(1) // should proceed normally
-	})
-	_ = p
+	spawnBody(k, "self",
+		func(p *Proc, _ bool) bool { return p.StartHold(1) },
+		func(p *Proc, _ bool) bool {
+			// Interrupt arrives while running (delivered synchronously here).
+			p.Interrupt()
+			return p.StartHold(1) // should consume the pending interrupt
+		},
+		func(p *Proc, ok bool) bool {
+			first = ok
+			return p.StartHold(1) // should proceed normally
+		},
+		func(_ *Proc, ok bool) bool { second = ok; return false })
 	k.Drain()
 	if first {
 		t.Fatal("pending interrupt not delivered at next blocking point")

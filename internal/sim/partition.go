@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -245,6 +244,3 @@ func SortMessages(ms []Message) {
 		return a.Shard < b.Shard
 	})
 }
-
-// InfHorizon is the horizon of a fully decoupled partition.
-func InfHorizon() float64 { return math.Inf(1) }

@@ -9,9 +9,9 @@ import (
 )
 
 // spawnHolder spawns a process that holds for dt and exits.
-func spawnHolder(k *Kernel, name string, dt float64) *InlineProc {
-	var p *InlineProc
-	p = k.SpawnInline(name, &Script{Stages: []func(*Machine, bool) Status{
+func spawnHolder(k *Kernel, name string, dt float64) *Proc {
+	var p *Proc
+	p = k.Spawn(name, &Script{Stages: []func(*Machine, bool) Status{
 		func(m *Machine, ok bool) Status {
 			if p.StartHold(dt) {
 				return Park
@@ -50,8 +50,8 @@ func TestReleasedTaskIgnoresLateEvents(t *testing.T) {
 		ok bool
 	}
 	var got []resume
-	var p *InlineProc
-	p = k.SpawnInline("new", &Script{Stages: []func(*Machine, bool) Status{
+	var p *Proc
+	p = k.Spawn("new", &Script{Stages: []func(*Machine, bool) Status{
 		func(m *Machine, ok bool) Status {
 			if p.StartPark() {
 				return Park
@@ -142,7 +142,7 @@ func TestReleaseLiveProcessPanics(t *testing.T) {
 // then record the finish time (negated when interrupted).
 type recycleFrame struct {
 	FrameState
-	p   *InlineProc
+	p   *Proc
 	dt  float64
 	out *float64
 }
@@ -168,7 +168,7 @@ func (f *recycleFrame) Step(m *Machine, ok bool) Status {
 // launch — the owner side of the recycling contract, as rtdbs runs it.
 type spawnerFrame struct {
 	FrameState
-	p    *InlineProc
+	p    *Proc
 	out  []float64
 	live []*recycleFrame
 	i    int
@@ -197,7 +197,7 @@ func (f *spawnerFrame) Step(m *Machine, ok bool) Status {
 		}
 		c := AllocFrom[recycleFrame](k.Arena())
 		c.dt, c.out = 0.5+float64(f.i%5), &f.out[f.i]
-		c.p = k.SpawnInline("child", c)
+		c.p = k.Spawn("child", c)
 		k.AtInterrupt(3, c.p)
 		f.live = append(f.live, c)
 		f.i++
@@ -216,7 +216,7 @@ func recycleReplicate(a *Arena, out []float64, live []*recycleFrame) uint64 {
 	k := NewKernelIn(a)
 	f := AllocFrom[spawnerFrame](a)
 	f.out, f.live = out, live[:0]
-	f.p = k.SpawnInline("spawner", f)
+	f.p = k.Spawn("spawner", f)
 	k.Drain()
 	return k.Steps()
 }
@@ -243,7 +243,7 @@ func TestWarmReplicateWithRecyclingMatchesCold(t *testing.T) {
 				t.Fatalf("cycle %d: child %d finished %g, want %g", cycle, i, out[i], heapOut[i])
 			}
 		}
-		if used := SlabFor[InlineProc](a).used(); used > 8 {
+		if used := SlabFor[Proc](a).used(); used > 8 {
 			t.Fatalf("cycle %d: %d process records for at most 5 live children", cycle, used)
 		}
 		a.Reset()

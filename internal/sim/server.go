@@ -17,18 +17,14 @@ package sim
 // next request before waking its caller, while a queued completion wakes
 // the served process first — preserving the event order of the original
 // implementation bit for bit.
-//
-// Both process representations share one implementation: StartUse arms
-// the wait (service timer or queue entry) for any Task, and the blocking
-// Use is StartUse plus a goroutine park.
 type Server struct {
 	k     *Kernel
 	gate  *Gate
 	meter *BusyMeter
 	busy  bool
 
-	cur    *Waiting  // queued entry currently in service
-	direct *taskCore // caller of an idle-server direct serve
+	cur    *Waiting // queued entry currently in service
+	direct *Proc    // caller of an idle-server direct serve
 
 	compID int32 // completer id AtComplete addresses this server by
 }
@@ -55,57 +51,49 @@ func (s *Server) Meter() *BusyMeter { return s.meter }
 // QueueLen returns the number of queued (not in-service) requests.
 func (s *Server) QueueLen() int { return s.gate.Len() }
 
-// Use blocks the calling process until it has exclusively held the server
-// for service seconds. Lower prio values are served first. It returns
-// false if the process was interrupted — before service started (no time
-// consumed) or during it (service completed, then the interruption is
-// reported).
-func (s *Server) Use(p *Proc, prio float64, service float64) bool {
-	return s.StartUse(p, prio, service) && p.Await()
-}
-
-// StartUse is the inline-process counterpart of Use: it enters the
-// request — starting service immediately on an idle server, queueing
-// otherwise — without blocking, and reports whether the wait was entered
-// (false means a pending interrupt consumed it; if service had already
-// started it still completes on the server's timeline). On true the
-// caller must park immediately; the completion outcome arrives at its
-// next Step exactly as Use's return value.
-func (s *Server) StartUse(t Task, prio float64, service float64) bool {
+// StartUse enters a request for service seconds of exclusive use —
+// starting service immediately on an idle server, queueing otherwise;
+// lower prio values are served first — and reports whether the wait was
+// entered (false means a pending interrupt consumed it; if service had
+// already started it still completes on the server's timeline). On true
+// the calling frame must return Park at once. Its next Step receives
+// ok=false if the process was interrupted — before service started (no
+// time consumed) or during it (service completed, then the interruption
+// is reported).
+func (s *Server) StartUse(p *Proc, prio float64, service float64) bool {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	c := t.core()
 	if !s.busy {
 		// Fast path: idle server, start service immediately, parking the
 		// caller uncancellably for the service duration.
 		s.busy = true
 		s.meter.SetBusy(true)
-		if c.takePendingInterrupt() {
+		if p.takePendingInterrupt() {
 			s.finish()
 			return false
 		}
-		c.cancel = cancelNone
-		s.direct = c
+		p.cancel = cancelNone
+		s.direct = p
 		s.k.AtComplete(service, s.compID, true)
 		return true
 	}
-	if c.takePendingInterrupt() {
+	if p.takePendingInterrupt() {
 		return false
 	}
 	// On a normal release the dispatcher has already accounted for the
 	// service; the wake is the completion signal.
-	s.gate.enqueue(c, prio, nil, service)
+	s.gate.enqueue(p, prio, nil, service)
 	return true
 }
 
 // completeDirect ends a direct serve: the server is freed (dispatching
 // the next queued request) before the served caller's wake is scheduled.
 func (s *Server) completeDirect() {
-	c := s.direct
+	p := s.direct
 	s.direct = nil
 	s.finish()
-	c.deliverWake(false)
+	p.deliverWake(false)
 }
 
 // finish marks the server idle and dispatches the next queued request.

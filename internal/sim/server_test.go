@@ -5,18 +5,44 @@ import (
 	"testing"
 )
 
+// spawnUse spawns a process that uses s once for service seconds at
+// prio, then calls done, if set, with the outcome.
+func spawnUse(k *Kernel, s *Server, name string, prio, service float64, done func(p *Proc, ok bool)) *Proc {
+	return spawnBody(k, name,
+		func(p *Proc, _ bool) bool { return s.StartUse(p, prio, service) },
+		func(p *Proc, ok bool) bool {
+			if done != nil {
+				done(p, ok)
+			}
+			return false
+		})
+}
+
+// spawnWait spawns a process that queues once at g with the given
+// priority and payloads, then calls done, if set, with the outcome.
+func spawnWait(k *Kernel, g *Gate, name string, prio float64, data any, val float64, done func(p *Proc, ok bool)) *Proc {
+	return spawnBody(k, name,
+		func(p *Proc, _ bool) bool { return g.Enqueue(p, prio, data, val) },
+		func(p *Proc, ok bool) bool {
+			if done != nil {
+				done(p, ok)
+			}
+			return false
+		})
+}
+
 func TestServerSerialService(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var done []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("user", func(p *Proc) {
-			s.Use(p, 0, 2)
-			done = append(done, p.Now())
-		})
+		spawnUse(k, s, "user", 0, 2, func(p *Proc, _ bool) { done = append(done, p.Now()) })
 	}
 	k.Drain()
 	want := []float64{2, 4, 6}
+	if len(done) != len(want) {
+		t.Fatalf("completions %v, want %v", done, want)
+	}
 	for i := range want {
 		if math.Abs(done[i]-want[i]) > 1e-12 {
 			t.Fatalf("completions %v, want %v", done, want)
@@ -31,20 +57,14 @@ func TestServerPriorityOrder(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var order []string
+	mark := func(name string) func(*Proc, bool) {
+		return func(*Proc, bool) { order = append(order, name) }
+	}
 	// Occupy the server first so the others queue.
-	k.Spawn("first", func(p *Proc) {
-		s.Use(p, 5, 10)
-		order = append(order, "first")
-	})
+	spawnUse(k, s, "first", 5, 10, mark("first"))
 	k.At(1, func() {
-		k.Spawn("low", func(p *Proc) {
-			s.Use(p, 9, 1)
-			order = append(order, "low")
-		})
-		k.Spawn("high", func(p *Proc) {
-			s.Use(p, 1, 1)
-			order = append(order, "high")
-		})
+		spawnUse(k, s, "low", 9, 1, mark("low"))
+		spawnUse(k, s, "high", 1, 1, mark("high"))
 	})
 	k.Drain()
 	if len(order) != 3 || order[0] != "first" || order[1] != "high" || order[2] != "low" {
@@ -56,17 +76,16 @@ func TestServerFIFOAmongEqualPriority(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var order []int
-	k.Spawn("occupier", func(p *Proc) { s.Use(p, 0, 5) })
+	spawnUse(k, s, "occupier", 0, 5, nil)
 	k.At(1, func() {
 		for i := 0; i < 4; i++ {
-			i := i
-			k.Spawn("eq", func(p *Proc) {
-				s.Use(p, 7, 1)
-				order = append(order, i)
-			})
+			spawnUse(k, s, "eq", 7, 1, func(*Proc, bool) { order = append(order, i) })
 		}
 	})
 	k.Drain()
+	if len(order) != 4 {
+		t.Fatalf("equal-priority order %v, want 4 completions", order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-priority order %v, want FIFO", order)
@@ -77,12 +96,9 @@ func TestServerFIFOAmongEqualPriority(t *testing.T) {
 func TestServerInterruptWhileQueued(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
-	k.Spawn("occupier", func(p *Proc) { s.Use(p, 0, 100) })
+	spawnUse(k, s, "occupier", 0, 100, nil)
 	var gotOK *bool
-	victim := k.Spawn("victim", func(p *Proc) {
-		ok := s.Use(p, 1, 10)
-		gotOK = &ok
-	})
+	victim := spawnUse(k, s, "victim", 1, 10, func(_ *Proc, ok bool) { gotOK = &ok })
 	k.At(5, func() { victim.Interrupt() })
 	k.Run(20)
 	if gotOK == nil {
@@ -100,9 +116,9 @@ func TestServerInterruptDuringServiceCompletesFirst(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var finishedAt float64
-	var ok bool
-	victim := k.Spawn("victim", func(p *Proc) {
-		ok = s.Use(p, 0, 10)
+	ok := true
+	victim := spawnUse(k, s, "victim", 0, 10, func(p *Proc, got bool) {
+		ok = got
 		finishedAt = p.Now()
 	})
 	k.At(3, func() { victim.Interrupt() })
@@ -118,16 +134,14 @@ func TestServerInterruptDuringServiceCompletesFirst(t *testing.T) {
 func TestServerUtilizationWindow(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
-	k.Spawn("u", func(p *Proc) {
-		s.Use(p, 0, 4)
-	})
+	spawnUse(k, s, "u", 0, 4, nil)
 	k.Run(8)
 	if got := s.Meter().Utilization(0, 0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("utilization %g, want 0.5", got)
 	}
 	// Window starting at t=8 with a 2-second service in [8,10], to 12.
 	start, busy0 := k.Now(), s.Meter().BusyTime()
-	k.Spawn("u2", func(p *Proc) { s.Use(p, 0, 2) })
+	spawnUse(k, s, "u2", 0, 2, nil)
 	k.Run(12)
 	if got := s.Meter().Utilization(start, busy0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("windowed utilization %g, want 0.5", got)
@@ -139,25 +153,24 @@ func TestGateReleaseSpecificWaiter(t *testing.T) {
 	g := NewGate(k, "adm")
 	var admitted []int
 	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("w", func(p *Proc) {
-			if g.Wait(p, float64(i), i) {
+		spawnWait(k, g, "w", float64(i), i, 0, func(_ *Proc, ok bool) {
+			if ok {
 				admitted = append(admitted, i)
 			}
 		})
 	}
+	release := func(data int) {
+		for w := g.First(); w != nil; w = w.Next() {
+			if w.Data.(int) == data {
+				g.Release(w)
+				return
+			}
+		}
+	}
 	k.At(1, func() {
 		// Admit waiter with Data==1 first, then 0, leave 2 waiting.
-		for _, w := range g.Waiters() {
-			if w.Data.(int) == 1 {
-				g.Release(w)
-			}
-		}
-		for _, w := range g.Waiters() {
-			if w.Data.(int) == 0 {
-				g.Release(w)
-			}
-		}
+		release(1)
+		release(0)
 	})
 	k.Run(10)
 	if len(admitted) != 2 || admitted[0] != 1 || admitted[1] != 0 {
@@ -171,8 +184,8 @@ func TestGateReleaseSpecificWaiter(t *testing.T) {
 func TestGateInterruptRemovesWaiter(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
-	p := k.Spawn("w", func(p *Proc) {
-		if g.Wait(p, 0, nil) {
+	p := spawnWait(k, g, "w", 0, nil, 0, func(_ *Proc, ok bool) {
+		if ok {
 			t.Error("wait should report interruption")
 		}
 	})
@@ -181,15 +194,18 @@ func TestGateInterruptRemovesWaiter(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("interrupted waiter not removed; len=%d", g.Len())
 	}
+	if !p.Dead() {
+		t.Fatal("interrupted waiter never resumed")
+	}
 }
 
 func TestGateStaleHandleIgnored(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
-	p := k.Spawn("w", func(p *Proc) { g.Wait(p, 0, nil) })
+	p := spawnWait(k, g, "w", 0, nil, 0, nil)
 	var handle *Waiting
 	k.At(1, func() {
-		handle = g.Waiters()[0]
+		handle = g.First()
 		p.Interrupt() // removes the entry
 	})
 	k.At(2, func() {
@@ -204,8 +220,7 @@ func TestGateIterationArrivalOrder(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
 	for i := 0; i < 4; i++ {
-		i := i
-		k.Spawn("w", func(p *Proc) { g.WaitVal(p, 0, float64(i)) })
+		spawnWait(k, g, "w", 0, nil, float64(i), nil)
 	}
 	k.At(1, func() {
 		var got []float64
@@ -222,8 +237,7 @@ func TestGateIterationArrivalOrder(t *testing.T) {
 			t.Errorf("iterated %d waiters, want 4", len(got))
 		}
 		// Removing from the middle must keep the chain intact.
-		ws := g.Waiters()
-		g.Release(ws[1])
+		g.Release(g.First().Next())
 		got = got[:0]
 		for w := g.First(); w != nil; w = w.Next() {
 			got = append(got, w.Val)
@@ -241,13 +255,16 @@ func TestGateEntryRecycledAcrossWaits(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
 	var rounds int
-	k.Spawn("w", func(p *Proc) {
-		for rounds = 0; rounds < 3; rounds++ {
-			if !g.Wait(p, float64(rounds), rounds) {
-				return
-			}
+	next := func(p *Proc, ok bool) bool {
+		if !ok {
+			return false
 		}
-	})
+		rounds++
+		return rounds < 3 && g.Enqueue(p, float64(rounds), rounds, 0)
+	}
+	spawnBody(k, "w",
+		func(p *Proc, _ bool) bool { return g.Enqueue(p, 0, 0, 0) },
+		next, next, next)
 	var seqs []uint64
 	release := func() {
 		w := g.First()
@@ -276,14 +293,14 @@ func TestGateEntryRecycledAcrossWaits(t *testing.T) {
 func TestGateServiceSection(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "disk")
-	var ok bool
+	ok := true
 	var at float64
-	p := k.Spawn("w", func(p *Proc) {
-		ok = g.Wait(p, 0, nil)
+	p := spawnWait(k, g, "w", 0, nil, 0, func(p *Proc, got bool) {
+		ok = got
 		at = p.Now()
 	})
 	k.At(1, func() {
-		w := g.Waiters()[0]
+		w := g.First()
 		g.BeginService(w)
 		k.At(9, func() { g.EndService(w) })
 	})

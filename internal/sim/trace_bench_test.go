@@ -18,7 +18,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	k := NewKernel()
 	k.SetSink(nil)
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
+	p := k.Spawn("dispatch", f)
 	f.t = p
 	k.Step() // spawn turn: machine parks in its hold
 	b.ReportAllocs()
@@ -41,7 +41,7 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	c := trace.NewCollector()
 	k.SetSink(c)
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
+	p := k.Spawn("dispatch", f)
 	f.t = p
 	k.Step() // spawn turn: machine parks in its hold
 	for i := 0; i < 256; i++ {
