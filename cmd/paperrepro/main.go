@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -41,6 +42,48 @@ import (
 	"pmm/internal/exp"
 	"pmm/internal/prof"
 )
+
+// checkFlags rejects numeric flag values that would otherwise run
+// silently as if unset: a -reps below 1 or a negative -horizon falls
+// back to the default, and a negative count or precision means nothing.
+func checkFlags(reps, maxReps int, horizon, precision float64, workers, tenants, shards, clients int) error {
+	switch {
+	case reps < 1:
+		return fmt.Errorf("-reps must be at least 1, got %d", reps)
+	case maxReps < 1:
+		return fmt.Errorf("-max-reps must be at least 1, got %d", maxReps)
+	case !(horizon >= 0):
+		return fmt.Errorf("-horizon must not be negative, got %g", horizon)
+	case !(precision >= 0):
+		return fmt.Errorf("-precision must not be negative, got %g", precision)
+	case workers < 0:
+		return fmt.Errorf("-workers must not be negative, got %d", workers)
+	case tenants < 0:
+		return fmt.Errorf("-tenants must not be negative, got %d", tenants)
+	case shards < 0:
+		return fmt.Errorf("-shards must not be negative, got %d", shards)
+	case clients < 0:
+		return fmt.Errorf("-clients must not be negative, got %d", clients)
+	}
+	return nil
+}
+
+// missingIDs returns, sorted, the requested report ids that no report
+// carries.
+func missingIDs(want map[string]bool, reports []*exp.Report) []string {
+	have := map[string]bool{}
+	for _, rep := range reports {
+		have[rep.ID] = true
+	}
+	var missing []string
+	for id := range want {
+		if !have[id] {
+			missing = append(missing, id)
+		}
+	}
+	sort.Strings(missing)
+	return missing
+}
 
 func main() {
 	var (
@@ -64,6 +107,10 @@ func main() {
 		prog    = flag.Bool("progress", false, "stream live per-point sweep progress with an ETA to stderr")
 	)
 	flag.Parse()
+	if err := checkFlags(*reps, *maxReps, *horizon, *prec, *workers, *tenants, *shards, *clients); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	stopProfile, err := prof.StartCPU(*profile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -120,6 +167,9 @@ func main() {
 	reports, err := exp.All(opts)
 	if err != nil {
 		fail(err)
+	}
+	if missing := missingIDs(want, reports); len(missing) > 0 {
+		fail(fmt.Errorf("-only names no report: %s", strings.Join(missing, ",")))
 	}
 
 	selected := reports[:0]

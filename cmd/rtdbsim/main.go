@@ -88,7 +88,6 @@ func main() {
 		tenants = flag.Int("tenants", 0, "replicate the preset into this many broker-coupled cells (0/1 = single-tenant)")
 		shards  = flag.Int("shards", 0, "worker threads advancing cells in parallel (multi-tenant only; results identical for any value)")
 		sync    = flag.Float64("sync", 0, "broker epoch length in simulated seconds (0 = default 1.0; multi-tenant only)")
-		stretch = flag.Int("stretch", 0, "adaptive broker lookahead: widen the barrier up to this many epochs while no cell changes demand class (0/1 = fixed; multi-tenant only)")
 		clients = flag.Int("clients", 0, "simulated client population of the overload preset (0 = 100000; count-batched, any N costs one timer per class)")
 		admit   = flag.Int("admit", -1, "admission-queue bound: arrivals beyond this many waiting queries are rejected (-1 = preset default, 0 = unbounded)")
 		trOut   = flag.String("trace", "", "write a Chrome trace-event JSON of replicate 0 to this file (load in Perfetto / chrome://tracing)")
@@ -183,7 +182,6 @@ func main() {
 		cfg.Tenants = *tenants
 		cfg.Shards = *shards
 		cfg.SyncInterval = *sync
-		cfg.SyncStretch = *stretch
 	}
 
 	spec := pmm.SweepSpec{Base: cfg, Reps: *reps, Workers: *workers, Confidence: *conf}

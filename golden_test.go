@@ -65,16 +65,16 @@ func TestGoldenKernelDigests(t *testing.T) {
 }
 
 // TestGoldenTimerCancelDigests pins the digest contract for a
-// timer-cancel-heavy workload: the baseline class overloaded to 2.5× its
-// nominal rate (so most queries blow their firm deadlines and are
-// Interrupted mid-hold, each abort cancelling the pending hold timer)
-// with deadline-driven pacing enabled (every pacing park arms an urgency
-// timer that is Stopped when the park ends). The run is dominated by
-// Timer.Stop tombstones surfacing in the event queue, so it pins the
-// kernel's lazy-cancellation skipping specifically — a queue-structure
-// change must reproduce the exact live-event order through dense
-// tombstone traffic, not just through clean schedules. Constants
-// captured on the 4-ary-heap kernel before the timing-wheel refactor.
+// deadline-abort-heavy workload: the baseline class overloaded to 2.5×
+// its nominal rate, so most queries blow their firm deadlines and are
+// interrupted wherever they wait — in the admission queue, a memory
+// wait, or mid-transfer at a disk or the CPU. Every abort is a timed
+// interrupt that fires (deadline timers are never stopped), so the run
+// pins the interrupt paths of each wait kind and the teardown of aborted
+// queries rather than the common completion path. Simulation paths
+// cancel no timers; the kernel's lazy-cancellation skipping is covered
+// by FuzzWheelOrder and BenchmarkTimerChurn in internal/sim. Rows
+// re-captured when deadline pacing was deleted.
 func TestGoldenTimerCancelDigests(t *testing.T) {
 	golden := []struct {
 		name                               string
@@ -84,8 +84,8 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 		missRatio                          string
 	}{
 		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 570535, 151, 35, 103, 138, "0.746376811594"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1187686, 151, 15, 122, 137, "0.890510948905"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 744077, 151, 29, 108, 137, "0.788321167883"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1371879, 151, 25, 112, 137, "0.817518248175"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 769731, 151, 29, 109, 138, "0.789855072464"},
 	}
 	for _, g := range golden {
 		g := g
@@ -95,7 +95,6 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 			cfg.Seed = 42
 			cfg.Duration = 1500
 			cfg.Classes[0].ArrivalRate = 0.10
-			cfg.PaceFactor = 1
 			cfg.Policy = g.pol
 			sys, err := pmm.New(cfg)
 			if err != nil {
@@ -127,15 +126,14 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 // TestGoldenDeepFrameDigests pins the digest contract for the deepest
 // inline frame stacks the simulator builds: PPHJ joins and external
 // sorts running side by side under heavy memory pressure (M cut to 800
-// pages) with deadline-driven pacing enabled. Squeezed allocations force
-// the join through partition spooling, adaptation and read-back and the
-// sort through multi-step merging with mid-merge splits, so every
-// operator frame (build/probe/flush/adapt/expand/read-back,
-// formation/emit/merge) plus the pacing and memory-wait leaf frames
-// appear on the stack together. A dispatch or frame-machinery change
-// must reproduce this order exactly, not just the shallow steady-state
-// paths. Constants captured on the closure-dispatch kernel before the
-// typed-payload refactor.
+// pages). Squeezed allocations force the join through partition
+// spooling, adaptation and read-back and the sort through multi-step
+// merging with mid-merge splits, so every operator frame
+// (build/probe/flush/adapt/expand/read-back, formation/emit/merge) plus
+// the memory-wait leaf frame appear on the stack together. A dispatch
+// or frame-machinery change must reproduce this order exactly, not just
+// the shallow steady-state paths. Rows re-captured when deadline pacing
+// was deleted.
 func TestGoldenDeepFrameDigests(t *testing.T) {
 	golden := []struct {
 		name                               string
@@ -145,8 +143,8 @@ func TestGoldenDeepFrameDigests(t *testing.T) {
 		missRatio                          string
 	}{
 		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 114330, 154, 32, 112, 144, "0.777777777778"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 916686, 154, 22, 121, 143, "0.846153846154"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 503759, 154, 34, 109, 143, "0.762237762238"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1205969, 154, 37, 106, 143, "0.741258741259"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 769637, 154, 30, 113, 143, "0.790209790210"},
 	}
 	for _, g := range golden {
 		g := g
@@ -156,7 +154,6 @@ func TestGoldenDeepFrameDigests(t *testing.T) {
 			cfg.Seed = 42
 			cfg.Duration = 1500
 			cfg.MemoryPages = 800
-			cfg.PaceFactor = 1
 			cfg.Classes[0].ArrivalRate = 0.05
 			cfg.Classes = append(cfg.Classes, pmm.ClassSpec{
 				Name:        "Sort",

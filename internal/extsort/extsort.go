@@ -91,7 +91,7 @@ type run struct {
 // sstate is per-execution sort state: the shared data plus one reusable
 // frame per formerly-blocking function. No frame appears twice on the
 // stack: run → {formation|merge}, formation → emit, and the merge frame
-// only enters leaf reads/appends and the pacing/memory waits.
+// only enters leaf reads/appends and the memory wait.
 type sstate struct {
 	e    *query.Exec
 	op   *Sort
@@ -229,9 +229,9 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				f.PC = 9
 				continue
 			}
-			if e.Alloc() == 0 || e.WouldPace() {
-				// Suspended, or pacing at the bare minimum: flush the heap
-				// so the held pages are honest, then wait.
+			if e.Alloc() == 0 {
+				// Suspended: flush the heap so the held pages are honest,
+				// then wait.
 				f.PC = 2
 				return s.callEmit(m, f.heapFill)
 			}
@@ -243,8 +243,8 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.heapFill = 0
 			s.closeRun()
 			f.PC = 3
-			return e.CallPace(m)
-		case 3: // pacing done
+			return e.CallWaitMemory(m)
+		case 3: // memory granted again
 			if !ok {
 				return m.Return(false)
 			}
@@ -369,8 +369,8 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 1
-			return e.CallPace(m)
-		case 1: // paced: plan one merge step
+			return e.CallWaitMemory(m)
+		case 1: // memory held: plan one merge step
 			if !ok {
 				return m.Return(false)
 			}

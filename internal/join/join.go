@@ -97,7 +97,7 @@ func (op *PPHJ) Release(root sim.Frame) {
 // jstate is the per-execution state of a join: the shared data the
 // original blocking implementation kept here, plus one reusable frame
 // per formerly-blocking function. No frame ever appears twice on the
-// stack: run → {build|probe|cleanup}, build/probe → adapt → pace,
+// stack: run → {build|probe|cleanup}, build/probe → adapt → waitMem,
 // probe → expand → readBack, and every spool flush runs to completion
 // before the next is entered.
 type jstate struct {
@@ -265,10 +265,7 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			// The epsilon absorbs float accumulation error in perPartRaw: a
 			// fully expanded join at exactly its maximum must not contract.
 			if s.memUse() <= float64(e.Alloc())+1e-6 || s.expanded == 0 {
-				// Fits. Defer further work while stuck at the bare minimum
-				// with slack to spare (§3.2 deadline-driven pacing).
-				f.PC = 7
-				return e.CallPace(m)
+				return m.Return(true) // fits
 			}
 			if s.contractPrep() {
 				f.PC = 1
@@ -312,8 +309,6 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(false)
 			}
 			f.PC = 0
-		case 7: // pacing done (tail position)
-			return m.Return(ok)
 		}
 	}
 }
@@ -456,14 +451,6 @@ func (f *probeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	}
 }
 
-// expandHysteresis discounts the projected benefit of a late expansion
-// against the risk that the next reallocation contracts the partition
-// before the read-back pays off. Calibration showed eager expansion
-// (factor 1) beats conservative settings: skipping an expansion forces
-// the remaining S tuples through a write+read spool cycle, which costs
-// more than the one-time read-back it avoids.
-const expandHysteresis = 1.0
-
 // expandFrame performs late expansion: while spare memory can hold
 // another partition's hash table and enough of S remains for the saved
 // spooling to clearly outweigh the read-back cost, a contracted
@@ -494,7 +481,11 @@ func (f *expandFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			contracted := float64(s.b - s.expanded)
 			sShare := s.sPending / contracted
 			cost := s.perPartRaw + sShare
-			if benefit <= expandHysteresis*cost {
+			// Expand eagerly whenever the saving beats the read-back:
+			// skipping an expansion forces the remaining S tuples
+			// through a write+read spool cycle, which costs more than
+			// the one-time read-back it avoids.
+			if benefit <= cost {
 				return m.Return(true)
 			}
 			s.fReadBack.sShare = sShare
@@ -642,8 +633,8 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 4
-			return e.CallPace(m)
-		case 4: // paced
+			return e.CallWaitMemory(m)
+		case 4: // memory held
 			if !ok {
 				return m.Return(false)
 			}

@@ -107,14 +107,6 @@ type Env struct {
 	Trace   *trace.Collector
 	IOTrack trace.TrackID
 
-	// PaceFactor > 0 enables deadline-driven pacing (see CallPace):
-	// a query at its bare minimum allocation defers work until its
-	// remaining time falls below PaceFactor × (two-pass estimate).
-	// 0 disables pacing: queries always process with whatever memory
-	// they hold. Disabled by default — an ablation knob; calibration
-	// showed eager processing yields lower miss ratios overall.
-	PaceFactor float64
-
 	tempID int64 // temp file ids are negative and never recycled
 }
 
@@ -141,7 +133,6 @@ type Exec struct {
 	// Reusable child frames. Each is configured and (re)entered through
 	// its Call* method; none ever appears twice on the frame stack.
 	frWaitMem waitMemFrame
-	frPace    paceFrame
 	frReadRel readRelFrame
 	frAppend  appendFrame
 	frRead    readTempFrame
@@ -189,7 +180,10 @@ func (e *Exec) CPUBurst(instructions float64, ok *bool) bool {
 
 // CallWaitMemory enters the admission/suspension wait as a child frame:
 // it parks until the controller grants the query memory (Alloc > 0).
-// The frame's result is false when the deadline interrupt arrives first.
+// A query that already holds memory, even its bare minimum, passes at
+// once without parking: operators process eagerly with whatever grant
+// they have. The frame's result is false when the deadline interrupt
+// arrives first.
 func (e *Exec) CallWaitMemory(m *sim.Machine) sim.Status {
 	f := &e.frWaitMem
 	f.e = e
@@ -217,81 +211,6 @@ func (f *waitMemFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 			ok = false
 		case 1: // park ended
-			e.Q.WantMem = 0
-			if !ok {
-				return m.Return(false)
-			}
-			f.PC = 0
-		}
-	}
-}
-
-// WouldPace reports whether CallPace would park right now: pacing
-// is enabled, the query holds exactly its bare minimum, has a real
-// maximum above it, and its remaining time exceeds the conservative
-// two-pass estimate. Operators that must save state before parking
-// (e.g. a sort flushing its heap) consult it first.
-func (e *Exec) WouldPace() bool {
-	q := e.Q
-	return e.PaceFactor > 0 && q.Alloc == q.MinMem && q.MinMem < q.MaxMem &&
-		e.K.Now() < q.Deadline-e.PaceFactor*3*q.StandAlone
-}
-
-// CallPace enters the Earliest-Deadline pacing wait of the paper's §3.2
-// as a child frame: a query's allocation "settles on the maximum as its
-// deadline draws close", so a query holding only its bare minimum defers
-// the expensive extra-pass processing while it still has ample slack —
-// executing at minimum memory costs up to three times the one-pass I/O,
-// and a later top-up does that work at a fraction of the price. The
-// query parks until it is topped up beyond its minimum or its remaining
-// time falls under a conservative two-pass execution estimate, then
-// proceeds. The frame's result is false if the deadline interrupt
-// arrives first.
-func (e *Exec) CallPace(m *sim.Machine) sim.Status {
-	f := &e.frPace
-	f.e = e
-	return m.Call(f)
-}
-
-type paceFrame struct {
-	sim.FrameState
-	e     *Exec
-	timer sim.Timer
-}
-
-func (f *paceFrame) Step(m *sim.Machine, ok bool) sim.Status {
-	e := f.e
-	for {
-		switch f.PC {
-		case 0: // loop head
-			q := e.Q
-			if q.Alloc == 0 {
-				f.PC = 1
-				return e.CallWaitMemory(m)
-			}
-			if e.PaceFactor <= 0 || q.Alloc > q.MinMem || q.MinMem >= q.MaxMem {
-				return m.Return(true)
-			}
-			urgentAt := q.Deadline - e.PaceFactor*3*q.StandAlone
-			if e.K.Now() >= urgentAt {
-				return m.Return(true)
-			}
-			// Park until topped up (the controller wakes any process with
-			// WantMem set when its grant changes) or until urgency arrives.
-			q.WantMem = q.MinMem + 1
-			f.timer = e.K.AtWake(urgentAt-e.K.Now(), q.Proc)
-			f.PC = 2
-			if e.P.StartPark() {
-				return sim.Park
-			}
-			ok = false
-		case 1: // admission wait ended
-			if !ok {
-				return m.Return(false)
-			}
-			f.PC = 0
-		case 2: // pacing park ended
-			f.timer.Stop()
 			e.Q.WantMem = 0
 			if !ok {
 				return m.Return(false)

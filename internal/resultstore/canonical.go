@@ -38,7 +38,9 @@ import (
 // v4: a disk-partitioning execution knob joined Config (it has since
 // been removed). Like Shards it was canonicalized to zero and never
 // serialized, so the text is the same as v3's.
-const formatVersion = "v4"
+// v5: the paceFactor and syncStretch config lines and the class lines'
+// three bursty-modulation fields are gone with the knobs they encoded.
+const formatVersion = "v5"
 
 // Key is the content address of one simulation result: the SHA-256 of
 // the epoch-salted canonical configuration text.
@@ -104,8 +106,7 @@ func CanonicalText(cfg rtdbs.Config) string {
 		m := cl.Modulation
 		vals := []any{cl.Name, int(cl.Kind), cl.ArrivalRate,
 			cl.SlackRange[0], cl.SlackRange[1], cl.Population,
-			int(m.Kind), m.Period, m.Amplitude, m.Phase,
-			m.BurstFactor, m.MeanNormal, m.MeanBurst, len(cl.RelGroups)}
+			int(m.Kind), m.Period, m.Amplitude, m.Phase, len(cl.RelGroups)}
 		for _, rg := range cl.RelGroups {
 			vals = append(vals, rg)
 		}
@@ -133,13 +134,11 @@ func CanonicalText(cfg rtdbs.Config) string {
 		}
 		line("fairness", vals...)
 	}
-	line("paceFactor", c.PaceFactor)
 	line("admitQueue", c.AdmitQueue)
 	// Canonical() zeroes the broker fields for single-tenant configs and
 	// always zeroes Shards, which never appears here: every Shards value
 	// replays to the same result, so all of them share one key.
 	line("tenants", c.Tenants)
 	line("syncInterval", c.SyncInterval)
-	line("syncStretch", c.SyncStretch)
 	return b.String()
 }

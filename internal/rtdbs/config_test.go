@@ -45,3 +45,44 @@ func TestNegativeConfigRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryBelowMinWorkspaceRejected: a buffer pool (per cell, for a
+// multi-tenant run) smaller than the largest query's minimum workspace
+// is rejected at construction instead of running to 100% misses, and a
+// pool of exactly that size is accepted.
+func TestMemoryBelowMinWorkspaceRejected(t *testing.T) {
+	base := baselineConfig(PolicyConfig{Kind: PolicyMinMax}, 0.001, 600)
+	sys, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	need, class := sys.Generator().LargestMinMem()
+	if need < 3 || class != "Medium" {
+		t.Fatalf("largest minimum workspace %d pages (class %q)", need, class)
+	}
+	rows := []struct {
+		name            string
+		tenants, memory int
+		accept          bool
+	}{
+		{"one page", 0, 1, false},
+		{"3 tenants of 10 pages", 3, 10, false},
+		{"one page short", 0, need - 1, false},
+		{"3 tenants one page short", 3, need - 1, false},
+		{"exact minimum", 0, need, true},
+		{"3 tenants at the exact minimum", 3, need, true},
+	}
+	for _, row := range rows {
+		cfg := base
+		cfg.Tenants, cfg.MemoryPages = row.tenants, row.memory
+		_, err := Simulate(cfg, nil)
+		switch {
+		case row.accept && err != nil:
+			t.Errorf("%s: rejected: %v", row.name, err)
+		case !row.accept && err == nil:
+			t.Errorf("%s: Simulate accepted %d pages below the %d-page minimum", row.name, row.memory, need)
+		case !row.accept && !strings.Contains(err.Error(), "MemoryPages"):
+			t.Errorf("%s: error %q does not name MemoryPages", row.name, err)
+		}
+	}
+}

@@ -189,3 +189,29 @@ func TestSimulateSingleTenant(t *testing.T) {
 		}
 	}
 }
+
+// TestBrokerExchangeCadence pins the fixed barrier: the broker runs at
+// every whole multiple of SyncInterval strictly inside the horizon, so
+// a run makes ⌈Duration/SyncInterval⌉ − 1 exchanges.
+func TestBrokerExchangeCadence(t *testing.T) {
+	for _, tc := range []struct {
+		duration, sync float64
+		want           int
+	}{
+		{60, 1, 59},
+		{60, 2.5, 23},
+		{61, 2.5, 24},
+		{60, 0.1, 599},
+	} {
+		cfg := tenantConfig(PolicyConfig{Kind: PolicyMinMax}, 2, 1, tc.duration)
+		cfg.SyncInterval = tc.sync
+		r, err := Simulate(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BrokerExchanges != tc.want {
+			t.Errorf("duration %g, interval %g: %d exchanges, want %d",
+				tc.duration, tc.sync, r.BrokerExchanges, tc.want)
+		}
+	}
+}

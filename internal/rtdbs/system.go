@@ -100,7 +100,11 @@ func NewWithArena(cfg Config, a *sim.Arena) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.env = &query.Env{K: s.k, CPU: s.cpu, Disks: s.disks, Pool: s.pool, PaceFactor: cfg.PaceFactor}
+	if need, class := s.gen.LargestMinMem(); cfg.MemoryPages < need {
+		return nil, fmt.Errorf("rtdbs: MemoryPages %d is below the %d-page minimum workspace of the largest %q query; such a query could never run",
+			cfg.MemoryPages, need, class)
+	}
+	s.env = &query.Env{K: s.k, CPU: s.cpu, Disks: s.disks, Pool: s.pool}
 	s.met = newMetrics(len(cfg.Classes))
 
 	var alloc policy.Allocator

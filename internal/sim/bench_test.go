@@ -29,8 +29,8 @@ func BenchmarkKernelChurn(b *testing.B) {
 }
 
 // BenchmarkTimerChurn is the schedule/cancel-heavy variant of
-// BenchmarkKernelChurn: the pacing + firm-deadline pattern where most
-// armed timers never fire. Each iteration schedules three timers at
+// BenchmarkKernelChurn: the pattern of armed timers that mostly never
+// fire (timeouts stopped before they expire). Each iteration schedules three timers at
 // distinct future times, cancels two, and executes one, so the queue
 // sees two tombstones per live event.
 func BenchmarkTimerChurn(b *testing.B) {

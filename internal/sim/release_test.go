@@ -27,17 +27,17 @@ type nopCompleter struct{}
 
 func (nopCompleter) Complete(bool) {}
 
-// TestReleasedTaskIgnoresLateEvents pins the dead-sentinel contract: a
-// deadline interrupt, a park wake and a service end addressed to a
-// released process fire as no-ops, and never reach the process that
-// reuses its record — even when that process sits in exactly the kind
-// of wait each event would end.
+// TestReleasedTaskIgnoresLateEvents pins the dead-sentinel contract:
+// deadline interrupts and a service end addressed to a released process
+// fire as no-ops, and never reach the process that reuses its record —
+// even when that process sits in exactly the kind of wait each event
+// would end.
 func TestReleasedTaskIgnoresLateEvents(t *testing.T) {
 	k := NewKernelIn(NewArena())
 	comp := k.RegisterCompleter(nopCompleter{})
 	old := spawnHolder(k, "old", 1)
 	k.AtInterrupt(5, old)
-	k.AtWake(5, old)
+	k.AtInterrupt(6, old)
 	k.Run(2)
 	if !old.Dead() {
 		t.Fatal("holder still alive at t=2")
@@ -53,7 +53,7 @@ func TestReleasedTaskIgnoresLateEvents(t *testing.T) {
 	var p *Proc
 	p = k.Spawn("new", &Script{Stages: []func(*Machine, bool) Status{
 		func(m *Machine, ok bool) Status {
-			if p.StartPark() {
+			if p.StartHold(8) { // t=10: the reuser's own wake
 				return Park
 			}
 			return m.Return(false)
@@ -76,7 +76,6 @@ func TestReleasedTaskIgnoresLateEvents(t *testing.T) {
 	if p.ID() == oldID {
 		t.Fatalf("reused record kept task id %d", oldID)
 	}
-	k.AtWake(8, p) // t=10: the reuser's own wake
 	k.At(9, func() { k.EndService(oldID, comp) })
 	k.At(10, func() { k.EndService(p.ID(), comp) })
 	k.Drain()

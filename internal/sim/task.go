@@ -140,10 +140,9 @@ func (p *Proc) StartHold(dt float64) bool {
 	return true
 }
 
-// StartPark arms a plain cancellable wait, ended by Wake, Interrupt or a
-// scheduled Kernel.AtWake, and reports whether it was entered; false
-// means a pending interrupt consumed it. Same park-on-true contract as
-// StartHold.
+// StartPark arms a plain cancellable wait, ended by Wake or Interrupt,
+// and reports whether it was entered; false means a pending interrupt
+// consumed it. Same park-on-true contract as StartHold.
 func (p *Proc) StartPark() bool {
 	if p.takePendingInterrupt() {
 		return false
@@ -167,7 +166,7 @@ func (p *Proc) StartService(comp int32) bool {
 // Wake resumes a process blocked in a plain park (StartPark). Waking a
 // process in any other state is a no-op, so callers may wake liberally.
 // Waits owned by a Gate or Server can only be ended by the owning
-// primitive. For a timed wake, schedule Kernel.AtWake.
+// primitive. For a timed wait, use StartHold.
 func (p *Proc) Wake() {
 	if p.state == procParked && p.cancel == cancelPlain {
 		p.cancel = cancelNone

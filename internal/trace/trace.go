@@ -57,11 +57,12 @@ const (
 )
 
 // Kernel event kinds mirror internal/sim's typed event kinds by value
-// (sim asserts the correspondence in its tests); Cancel is an extra
-// trace-only kind recorded by Timer.Stop and hold cancels. Message is
-// a retired kind: the kernel no longer emits it, but the value stays
-// reserved so consumers that size per-kind tables by KindMessage+1 keep
-// working.
+// (sim asserts the correspondence at compile time); Cancel is an extra
+// trace-only kind recorded by Timer.Stop and hold cancels. ParkWake and
+// Message are retired kinds: the kernel no longer emits them, but their
+// values stay reserved so the other kinds keep their values and
+// consumers that read them or size per-kind tables by KindMessage+1
+// keep working.
 const (
 	KindClosure uint8 = iota
 	KindTurn

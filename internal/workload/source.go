@@ -25,10 +25,6 @@ const envSegments = 16
 //     are drawn at the segment's envelope rate and each candidate is
 //     accepted with probability rate(t)/envelope, which yields the
 //     target rate function exactly.
-//   - ModBursty is a two-phase MMPP: phase sojourns are drawn lazily
-//     from their own stream, and within a phase arrivals are plain
-//     Poisson at the phase rate (re-drawn at phase boundaries; valid by
-//     memorylessness).
 //
 // All candidate and rejection handling happens inside Next, so the
 // kernel schedules exactly one timer per admitted arrival. Next
@@ -43,17 +39,13 @@ type ArrivalSource struct {
 	// length, fixed at construction.
 	env    []float64
 	segLen float64
-
-	// Bursty state: current phase and its absolute end time.
-	inBurst  bool
-	phaseEnd float64
 }
 
 // Source builds the aggregated arrival source for one class. The gap
 // stream is the class's classic inter-arrival stream, so a fixed-rate
 // population-N source replays bit-identically to a single classic
-// source at N·λ; thinning acceptance and phase sojourns use their own
-// streams and are never drawn for simple classes.
+// source at N·λ; thinning acceptance uses its own stream and is never
+// drawn for simple classes.
 func (g *Generator) Source(class int) *ArrivalSource {
 	cl := g.classes[class]
 	n := cl.Population
@@ -66,8 +58,7 @@ func (g *Generator) Source(class int) *ArrivalSource {
 		mod:   cl.Modulation,
 		base:  float64(n) * cl.ArrivalRate,
 	}
-	switch cl.Modulation.Kind {
-	case ModDiurnal:
+	if cl.Modulation.Kind == ModDiurnal {
 		s.segLen = cl.Modulation.Period / envSegments
 		s.env = make([]float64, envSegments)
 		for k := range s.env {
@@ -75,44 +66,26 @@ func (g *Generator) Source(class int) *ArrivalSource {
 			b := 2 * math.Pi * float64(k+1) / envSegments
 			s.env[k] = s.base * (1 + cl.Modulation.Amplitude*maxSin(a, b))
 		}
-	case ModBursty:
-		// The source starts in the normal phase at t = 0; the first
-		// sojourn is drawn here so Next stays allocation- and
-		// state-initialization-free.
-		s.phaseEnd = sim.Exp(g.phase[class], cl.Modulation.MeanNormal)
 	}
 	return s
 }
 
 // Rate returns the aggregate arrival rate at time t.
 func (s *ArrivalSource) Rate(t float64) float64 {
-	switch s.mod.Kind {
-	case ModDiurnal:
+	if s.mod.Kind == ModDiurnal {
 		return s.base * (1 + s.mod.Amplitude*math.Sin(2*math.Pi*(t-s.mod.Phase)/s.mod.Period))
-	case ModBursty:
-		// Phase state is advanced lazily by Next; between calls this
-		// reports the rate of the last known phase.
-		if s.inBurst {
-			return s.base * s.mod.BurstFactor
-		}
-		return s.base
-	default:
-		return s.base
 	}
+	return s.base
 }
 
 // Next returns the absolute time of the next admitted arrival after
 // now. Calls must pass non-decreasing times (the driving source process
 // holds until exactly the returned time).
 func (s *ArrivalSource) Next(now float64) float64 {
-	switch s.mod.Kind {
-	case ModDiurnal:
+	if s.mod.Kind == ModDiurnal {
 		return s.nextDiurnal(now)
-	case ModBursty:
-		return s.nextBursty(now)
-	default:
-		return now + s.g.InterArrival(s.class, s.base)
 	}
+	return now + s.g.InterArrival(s.class, s.base)
 }
 
 // nextDiurnal thins candidate arrivals drawn at the segment envelope
@@ -141,31 +114,6 @@ func (s *ArrivalSource) nextDiurnal(now float64) float64 {
 		if sim.Uniform(s.g.thin[s.class], 0, 1)*env < s.Rate(t) {
 			return t
 		}
-	}
-}
-
-// nextBursty draws at the current phase's rate, re-drawing whenever the
-// candidate would land past the phase boundary (memoryless again); the
-// phase process itself advances lazily from its own sojourn stream.
-func (s *ArrivalSource) nextBursty(now float64) float64 {
-	t := now
-	for {
-		rate := s.base
-		if s.inBurst {
-			rate *= s.mod.BurstFactor
-		}
-		gap := s.g.InterArrival(s.class, rate)
-		if t+gap >= s.phaseEnd {
-			t = s.phaseEnd
-			s.inBurst = !s.inBurst
-			mean := s.mod.MeanNormal
-			if s.inBurst {
-				mean = s.mod.MeanBurst
-			}
-			s.phaseEnd += sim.Exp(s.g.phase[s.class], mean)
-			continue
-		}
-		return t + gap
 	}
 }
 

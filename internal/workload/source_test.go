@@ -132,33 +132,6 @@ func TestDiurnalEnvelopeMajorizes(t *testing.T) {
 	}
 }
 
-// TestBurstyLongRunMean checks the MMPP-2 source against its stationary
-// rate base·(MeanNormal + BurstFactor·MeanBurst)/(MeanNormal+MeanBurst).
-func TestBurstyLongRunMean(t *testing.T) {
-	const (
-		pop       = 20
-		perClient = 0.1 // base 2/s
-		bf        = 5.0
-		meanN     = 60.0
-		meanB     = 20.0
-		T         = 200_000.0
-	)
-	mod := Modulation{Kind: ModBursty, BurstFactor: bf, MeanNormal: meanN, MeanBurst: meanB}
-	g := newGen(t, []ClassSpec{popClass(pop, perClient, mod)})
-	src := g.Source(0)
-	n := 0
-	for at := src.Next(0); at < T; at = src.Next(at) {
-		n++
-	}
-	base := float64(pop) * perClient
-	want := base * (meanN + bf*meanB) / (meanN + meanB) * T
-	// MMPP counts are over-dispersed relative to Poisson; 5% covers
-	// ≈5σ of the phase-modulated count variance at this horizon.
-	if d := math.Abs(float64(n)-want) / want; d > 0.05 {
-		t.Fatalf("bursty arrivals %d, want ≈%.0f (off by %.1f%%)", n, want, 100*d)
-	}
-}
-
 // TestSourceConfigGuards: misconfigured populations and modulations are
 // build-time errors, not silent mis-simulation.
 func TestSourceConfigGuards(t *testing.T) {
@@ -173,8 +146,7 @@ func TestSourceConfigGuards(t *testing.T) {
 		{"diurnal zero period", popClass(2, 0.1, Modulation{Kind: ModDiurnal})},
 		{"diurnal amplitude 1", popClass(2, 0.1, Modulation{Kind: ModDiurnal, Period: 100, Amplitude: 1})},
 		{"diurnal negative amplitude", popClass(2, 0.1, Modulation{Kind: ModDiurnal, Period: 100, Amplitude: -0.2})},
-		{"bursty zero factor", popClass(2, 0.1, Modulation{Kind: ModBursty, MeanNormal: 1, MeanBurst: 1})},
-		{"bursty zero sojourn", popClass(2, 0.1, Modulation{Kind: ModBursty, BurstFactor: 2, MeanNormal: 1})},
+		{"retired kind 2", popClass(2, 0.1, Modulation{Kind: ModKind(2), Period: 100})},
 		{"unknown kind", popClass(2, 0.1, Modulation{Kind: ModKind(99)})},
 	}
 	for _, tc := range bad {
@@ -203,13 +175,13 @@ func TestInterArrivalRateGuard(t *testing.T) {
 }
 
 func TestCanonicalSpec(t *testing.T) {
-	one := popClass(1, 0.1, Modulation{Period: 99, BurstFactor: 7}) // stray params, kind none
+	one := popClass(1, 0.1, Modulation{Period: 99, Amplitude: 0.7}) // stray params, kind none
 	if got := one.CanonicalSpec(); got.Population != 0 || got.Modulation != (Modulation{}) {
 		t.Fatalf("population 1 + stray modulation params canonicalize to pop %d mod %+v",
 			got.Population, got.Modulation)
 	}
-	d := popClass(4, 0.1, Modulation{Kind: ModDiurnal, Period: 100, Amplitude: 0.5, BurstFactor: 3})
-	if got := d.CanonicalSpec().Modulation; got.BurstFactor != 0 || got.Period != 100 {
+	d := popClass(4, 0.1, Modulation{Kind: ModDiurnal, Period: 100, Amplitude: 0.5, Phase: 3})
+	if got := d.CanonicalSpec().Modulation; got != d.Modulation {
 		t.Fatalf("diurnal canonical modulation %+v", got)
 	}
 	if !d.Batched() || popClass(0, 0.1, Modulation{}).Batched() {

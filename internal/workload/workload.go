@@ -16,11 +16,10 @@
 // each an independent Poisson source at ArrivalRate, which collapse by
 // Poisson superposition into one aggregated source at rate N·λ — a
 // count, not a set of timers, so 10⁶ simulated clients cost one kernel
-// timer per class. Time-varying rates (diurnal sinusoids, MMPP-style
-// burst phases; see Modulation) are drawn exactly by Lewis–Shedler
-// thinning against a piecewise-constant rate envelope, keeping event
-// cost proportional to admitted arrivals at any population size. See
-// ArrivalSource.
+// timer per class. A diurnal rate (see Modulation) is drawn exactly by
+// Lewis–Shedler thinning against a piecewise-constant rate envelope,
+// keeping event cost proportional to admitted arrivals at any
+// population size. See ArrivalSource.
 package workload
 
 import (
@@ -73,10 +72,6 @@ const (
 	//
 	// sampled exactly by thinning against a piecewise-constant envelope.
 	ModDiurnal
-	// ModBursty is a two-phase MMPP: the source alternates between a
-	// normal phase at the base rate and a burst phase at
-	// base·BurstFactor, with exponentially distributed phase sojourns.
-	ModBursty
 )
 
 // String returns the canonical-serialization name of the kind.
@@ -86,8 +81,6 @@ func (k ModKind) String() string {
 		return "none"
 	case ModDiurnal:
 		return "diurnal"
-	case ModBursty:
-		return "bursty"
 	default:
 		return fmt.Sprintf("modkind(%d)", int(k))
 	}
@@ -102,11 +95,6 @@ type Modulation struct {
 	Period    float64 // sinusoid period in seconds (> 0)
 	Amplitude float64 // relative swing, in [0, 1) so the rate stays > 0
 	Phase     float64 // time offset of the sinusoid in seconds
-
-	// Bursty (MMPP-2) parameters.
-	BurstFactor float64 // burst-phase rate multiplier (> 0)
-	MeanNormal  float64 // mean normal-phase sojourn in seconds (> 0)
-	MeanBurst   float64 // mean burst-phase sojourn in seconds (> 0)
 }
 
 // validate rejects malformed modulation parameters at build time.
@@ -120,15 +108,6 @@ func (m Modulation) validate(class string) error {
 		}
 		if m.Amplitude < 0 || m.Amplitude >= 1 {
 			return fmt.Errorf("workload: class %q diurnal amplitude %g outside [0, 1)", class, m.Amplitude)
-		}
-		return nil
-	case ModBursty:
-		if m.BurstFactor <= 0 {
-			return fmt.Errorf("workload: class %q bursty modulation needs BurstFactor > 0, got %g", class, m.BurstFactor)
-		}
-		if m.MeanNormal <= 0 || m.MeanBurst <= 0 {
-			return fmt.Errorf("workload: class %q bursty sojourns must be > 0, got normal %g burst %g",
-				class, m.MeanNormal, m.MeanBurst)
 		}
 		return nil
 	default:
@@ -151,18 +130,9 @@ func (c ClassSpec) CanonicalSpec() ClassSpec {
 	if c.Population <= 1 {
 		c.Population = 0
 	}
-	m := Modulation{Kind: c.Modulation.Kind}
-	switch c.Modulation.Kind {
-	case ModDiurnal:
-		m.Period = c.Modulation.Period
-		m.Amplitude = c.Modulation.Amplitude
-		m.Phase = c.Modulation.Phase
-	case ModBursty:
-		m.BurstFactor = c.Modulation.BurstFactor
-		m.MeanNormal = c.Modulation.MeanNormal
-		m.MeanBurst = c.Modulation.MeanBurst
+	if c.Modulation.Kind == ModNone {
+		c.Modulation = Modulation{}
 	}
-	c.Modulation = m
 	return c
 }
 
@@ -194,7 +164,6 @@ type Generator struct {
 	rel    []*rand.Rand // relation-choice stream per class
 	slack  []*rand.Rand // slack-ratio stream per class
 	thin   []*rand.Rand // thinning-acceptance stream per class (modulated sources)
-	phase  []*rand.Rand // burst-phase sojourn stream per class (MMPP sources)
 	nextID int64
 }
 
@@ -246,15 +215,13 @@ func NewGenerator(cat *catalog.Catalog, dp disk.Params, mips float64,
 			return nil, fmt.Errorf("workload: class %q is population/modulated but has no base arrival rate",
 				cl.Name)
 		}
-		// The thinning and phase streams exist for every class but are
-		// only ever drawn by batched/modulated sources, so adding them
-		// leaves the classic streams — and every fixed-rate run —
-		// bit-identical.
+		// The thinning stream exists for every class but is only ever
+		// drawn by modulated sources, so it leaves the classic streams —
+		// and every fixed-rate run — bit-identical.
 		g.arr = append(g.arr, sim.NewRand(seed, uint64(100+ci)))
 		g.rel = append(g.rel, sim.NewRand(seed, uint64(200+ci)))
 		g.slack = append(g.slack, sim.NewRand(seed, uint64(300+ci)))
 		g.thin = append(g.thin, sim.NewRand(seed, uint64(400+ci)))
-		g.phase = append(g.phase, sim.NewRand(seed, uint64(500+ci)))
 	}
 	return g, nil
 }
@@ -310,6 +277,41 @@ func (g *Generator) NewQuery(a *sim.Arena, class int, now float64) *query.Query 
 	q.SlackRatio = sim.Uniform(g.slack[class], cl.SlackRange[0], cl.SlackRange[1])
 	q.Deadline = q.StandAlone*q.SlackRatio + q.Arrival
 	return q
+}
+
+// LargestMinMem returns the largest minimum workspace, in pages, of any
+// query the classes can draw from the catalog, and the name of the class
+// that draws it. A buffer pool smaller than this can never run such a
+// query. A join builds on the smaller of its two picks, so its largest
+// build relation is the smaller of the two groups' largest relations.
+func (g *Generator) LargestMinMem() (pages int, class string) {
+	for _, cl := range g.classes {
+		r := largestPages(g.cat.Group(cl.RelGroups[0]))
+		var min int
+		if cl.Kind == query.HashJoin {
+			if s := largestPages(g.cat.Group(cl.RelGroups[1])); s < r {
+				r = s
+			}
+			min, _ = join.MemoryNeeds(r, g.params.FudgeFactor)
+		} else {
+			min, _ = extsort.MemoryNeeds(r)
+		}
+		if min > pages {
+			pages, class = min, cl.Name
+		}
+	}
+	return pages, class
+}
+
+// largestPages returns the size of the largest relation in rels.
+func largestPages(rels []*catalog.Relation) int {
+	n := 0
+	for _, r := range rels {
+		if r.Pages > n {
+			n = r.Pages
+		}
+	}
+	return n
 }
 
 // blocks returns the number of block I/Os to read n pages.

@@ -171,8 +171,6 @@ const (
 	ModNone = workload.ModNone
 	// ModDiurnal is a sinusoidal rate sampled exactly by thinning.
 	ModDiurnal = workload.ModDiurnal
-	// ModBursty is a two-phase MMPP (normal/burst sojourns).
-	ModBursty = workload.ModBursty
 )
 
 // New assembles a simulator for cfg without running it.
