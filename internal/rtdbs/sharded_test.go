@@ -215,3 +215,37 @@ func TestBrokerExchangeCadence(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveLookaheadConformance checks shard conformance across the
+// broker's lookahead window: SyncInterval is the conservative lookahead
+// every cell runs ahead to, so a coarse window (few exchanges, long
+// unsynchronised stretches) must still produce byte-identical Results
+// for every Shards value.
+func TestAdaptiveLookaheadConformance(t *testing.T) {
+	for _, lookahead := range []float64{4, 8} {
+		cfg := tenantConfig(PolicyConfig{Kind: PolicyMinMax}, 3, 1, 900)
+		cfg.SyncInterval = lookahead
+		base, err := Simulate(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Terminated < 20 {
+			t.Fatalf("only %d terminations — run too short to be meaningful", base.Terminated)
+		}
+		for _, shards := range []int{2, 3, 8} {
+			c := cfg
+			c.Shards = shards
+			got, err := Simulate(c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ShardDigest != base.ShardDigest {
+				t.Errorf("lookahead=%g shards=%d: digest %s != shards=1 digest %s",
+					lookahead, shards, got.ShardDigest, base.ShardDigest)
+			}
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("lookahead=%g shards=%d: results differ from shards=1", lookahead, shards)
+			}
+		}
+	}
+}
